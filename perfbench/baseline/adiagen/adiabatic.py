@@ -1,0 +1,547 @@
+"""Adiabatic path machinery.
+
+Paths through Hamiltonian space, the adiabatic-condition check, discretized
+Schrodinger evolution, measurement-driven (Zeno) evolution, phase-estimation
+projection, jagged projector paths, and the circuit-to-path compiler.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .qcore import (
+    DEGENERACY_TOL,
+    DegenerateGroundstateError,
+    DenseHermitian,
+    StateVector,
+    UnitaryMatrix,
+    decompose_hermitian,
+    ground_state,
+    matrix_exponential,
+    spectral_gap,
+    spectral_norm,
+    state_overlap,
+)
+
+FD_STEP = 1e-5  # central-difference step for ||dH/ds||; exact for piecewise-linear paths
+
+
+@dataclass(frozen=True)
+class HamiltonianPath:
+    """Map s in [0,1] -> Hermitian operator, with known non-smooth points."""
+
+    evaluate: Callable[[float], DenseHermitian]
+    breakpoints: tuple[float, ...] = ()
+    norm_bound: float = 0.0
+    label: str = ""
+
+    @property
+    def dim(self) -> int:
+        return self.evaluate(0.0).dim
+
+
+@dataclass(frozen=True)
+class Schedule:
+    T: float
+    eps: float
+
+    def __post_init__(self):
+        if self.T <= 0 or self.eps <= 0:
+            raise ValueError("T and eps must be positive")
+
+
+@dataclass(frozen=True)
+class EvolutionReport:
+    final_state: StateVector
+    success_probability: float
+    per_step_overlaps: np.ndarray
+    steps: int
+    succeeded: bool | None = None
+    warnings: tuple[str, ...] = ()
+
+
+def projector_hamiltonian(alpha: StateVector) -> DenseHermitian:
+    """I - |alpha><alpha|: groundstate alpha at value 0, rest at 1."""
+    a = alpha.amplitudes
+    return DenseHermitian(np.eye(a.size) - np.outer(a, a.conj()))
+
+
+def linear_path(H0: DenseHermitian, H1: DenseHermitian, label: str = "linear") -> HamiltonianPath:
+    if H0.dim != H1.dim:
+        raise ValueError(f"dims {H0.dim} != {H1.dim}")
+    bound = max(spectral_norm(H0), spectral_norm(H1))
+
+    def evaluate(s: float) -> DenseHermitian:
+        return DenseHermitian((1 - s) * H0.entries + s * H1.entries)
+
+    return HamiltonianPath(evaluate=evaluate, breakpoints=(), norm_bound=bound, label=label)
+
+
+def segment_min_gap(alpha: StateVector, beta: StateVector) -> float:
+    """Minimum gap along the projector-to-projector segment: |<alpha|beta>|, at eta = 1/2."""
+    return abs(state_overlap(alpha, beta))
+
+
+def two_projector_gap_formula(overlap_mag: float, eta: float) -> float:
+    """Gap of (1-eta)(I-|a><a|) + eta(I-|b><b|): sqrt(1 - 4(1-eta)eta |b_perp|^2)."""
+    b_perp_sq = 1.0 - overlap_mag**2
+    return math.sqrt(max(0.0, 1.0 - 4.0 * (1.0 - eta) * eta * b_perp_sq))
+
+
+class DisconnectedPathError(ValueError):
+    """Consecutive groundstates are orthogonal; the jagged path has a closing gap."""
+
+
+def jagged_path(states: Sequence[StateVector], label: str = "jagged") -> HamiltonianPath:
+    """Piecewise-linear path through the projectors I - |alpha_j><alpha_j|."""
+    states = list(states)
+    if not states:
+        raise ValueError("need at least one state")
+    for a, b in zip(states, states[1:]):
+        if abs(state_overlap(a, b)) < 1e-12:
+            raise DisconnectedPathError("zero overlap between consecutive states")
+    projectors = [projector_hamiltonian(a) for a in states]
+    L = len(projectors)
+    if L == 1:
+        P = projectors[0]
+        return HamiltonianPath(evaluate=lambda s, _P=P: _P, norm_bound=1.0, label=label)
+
+    def evaluate(s: float) -> DenseHermitian:
+        x = min(max(s, 0.0), 1.0) * (L - 1)
+        j = min(int(x), L - 2)
+        eta = x - j
+        return DenseHermitian((1 - eta) * projectors[j].entries + eta * projectors[j + 1].entries)
+
+    bps = tuple(j / (L - 1) for j in range(1, L - 1))
+    return HamiltonianPath(evaluate=evaluate, breakpoints=bps, norm_bound=1.0, label=label)
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    max_ratio: float
+    holds: bool
+    worst_s: float
+    min_gap: float
+    max_derivative_norm: float
+
+
+def check_adiabatic_condition(path: HamiltonianPath, sched: Schedule, grid: int = 64) -> ConditionReport:
+    """Worst ||dH/ds|| / gap^2 over a grid; the condition holds iff T*eps covers it."""
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+    h = FD_STEP
+    max_ratio, worst_s = 0.0, 0.0
+    min_gap, max_deriv = math.inf, 0.0
+    for s in np.linspace(h, 1 - h, grid):
+        s = float(s)
+        if any(abs(s - b) <= h for b in path.breakpoints):
+            continue
+        gap = spectral_gap(path.evaluate(s))
+        if gap < DEGENERACY_TOL:
+            raise DegenerateGroundstateError(f"path degenerate at s={s}: gap {gap}")
+        deriv = spectral_norm(path.evaluate(s + h).entries - path.evaluate(s - h).entries) / (2 * h)
+        min_gap = min(min_gap, gap)
+        max_deriv = max(max_deriv, deriv)
+        ratio = deriv / gap**2
+        if ratio > max_ratio:
+            max_ratio, worst_s = ratio, s
+    return ConditionReport(
+        max_ratio=max_ratio,
+        holds=sched.T * sched.eps >= max_ratio,
+        worst_s=worst_s,
+        min_gap=min_gap,
+        max_derivative_norm=max_deriv,
+    )
+
+
+def evolve_discretized(path: HamiltonianPath, sched: Schedule, delta: float,
+                       psi0: StateVector) -> EvolutionReport:
+    """Product of e^{-i H(s_j) delta} over a uniform s-grid with T ds = delta.
+
+    success_probability reports the squared overlap of the final state with
+    the final groundstate.
+    """
+    _, g0 = ground_state(path.evaluate(0.0))
+    if abs(abs(state_overlap(psi0, g0)) - 1.0) > 1e-6:
+        raise ValueError("psi0 is not the groundstate of H(0)")
+    warnings: list[str] = []
+    cond = check_adiabatic_condition(path, sched)
+    if not cond.holds:
+        warnings.append(
+            f"adiabatic condition violated: T*eps={sched.T * sched.eps:.4g} "
+            f"< max ratio {cond.max_ratio:.4g}"
+        )
+    steps = max(1, round(sched.T / delta))
+    dt = sched.T / steps
+    psi = psi0.amplitudes.copy()
+    overlaps = np.empty(steps)
+    for j in range(steps):
+        s = (j + 0.5) / steps
+        H = path.evaluate(s)
+        psi = matrix_exponential(H, dt).entries @ psi
+        _, gs = ground_state(H)
+        overlaps[j] = abs(np.vdot(gs.amplitudes, psi)) ** 2
+    _, g1 = ground_state(path.evaluate(1.0))
+    fidelity_sq = abs(np.vdot(g1.amplitudes, psi)) ** 2
+    return EvolutionReport(
+        final_state=StateVector.from_amplitudes(psi, normalize=True),
+        success_probability=float(fidelity_sq),
+        per_step_overlaps=overlaps,
+        steps=steps,
+        warnings=tuple(warnings),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Phase estimation
+
+
+class InsufficientPrecisionError(ValueError):
+    """Ancilla register too coarse to resolve the spectral gap."""
+
+
+def default_ancilla_bits(gap: float) -> int:
+    return max(1, math.ceil(math.log2(8.0 / gap)))
+
+
+def _qpe_register_amplitudes(phase: float, b: int) -> np.ndarray:
+    """Amplitude on each register value y for an eigenstate with given phase."""
+    B = 1 << b
+    y = np.arange(B)
+    theta = phase - y / B
+    # Geometric sum (1/B) sum_k e^{2 pi i k theta}
+    num = np.exp(2j * np.pi * B * theta) - 1.0
+    den = np.exp(2j * np.pi * theta) - 1.0
+    amps = np.where(np.abs(den) < 1e-12, 1.0, num / np.where(np.abs(den) < 1e-12, 1.0, den) / B)
+    return amps
+
+
+def _phase_setup(H: DenseHermitian, b: int):
+    """Eigensystem plus phase encoding; groundvalue is assumed at 0."""
+    dec = decompose_hermitian(H)
+    vals = dec.eigenvalues
+    gap = float(vals[1] - vals[0]) if H.dim >= 2 else 1.0
+    if gap < DEGENERACY_TOL:
+        raise DegenerateGroundstateError("degenerate groundstate in phase estimation")
+    if 2.0 ** (-b) >= gap / 4.0:
+        raise InsufficientPrecisionError(
+            f"2^-{b} = {2.0 ** (-b):.3g} does not resolve gap/4 = {gap / 4:.3g}"
+        )
+    # Evolution-time unit keeping all phases in [0, 1/2] with ground at 0;
+    # scaling by the spectral spread avoids wrap-around of the top eigenvalue.
+    spread = float(vals[-1] - vals[0]) if H.dim >= 2 else 1.0
+    t_base = math.pi / max(spread, 1e-12)
+    phases = (vals - vals[0]) * t_base / (2 * math.pi)
+    ground_threshold = gap * t_base / (2 * math.pi) / 2.0
+    return dec, phases, ground_threshold
+
+
+def _is_ground_reading(y: int, b: int, ground_threshold: float) -> bool:
+    B = 1 << b
+    frac = y / B
+    circ = min(frac, 1.0 - frac)
+    return circ < ground_threshold
+
+
+def phase_estimation_project(H: DenseHermitian, psi: StateVector, b: int,
+                             rng: np.random.Generator) -> tuple[int, StateVector]:
+    """Measure 'ground or not' by simulated phase estimation with b ancillas.
+
+    Returns (0, ~groundstate) with probability ~|<alpha(H)|psi>|^2, else
+    (1, ~orthogonal component); exact up to register leakage.
+    """
+    dec, phases, thr = _phase_setup(H, b)
+    B = 1 << b
+    coeffs = dec.eigenvectors.conj().T @ psi.amplitudes
+    # amps[j, y]: register amplitude for eigencomponent j
+    amps = np.stack([_qpe_register_amplitudes(p, b) for p in phases])
+    joint = coeffs[:, None] * amps  # joint amplitudes over (eigenstate, register)
+    probs = np.sum(np.abs(joint) ** 2, axis=0)
+    probs = probs / probs.sum()
+    y = int(rng.choice(B, p=probs))
+    post_coeffs = joint[:, y]
+    post = dec.eigenvectors @ post_coeffs
+    post = post / np.linalg.norm(post)
+    outcome = 0 if _is_ground_reading(y, b, thr) else 1
+    return outcome, StateVector.from_amplitudes(post, normalize=True)
+
+
+def projector_hamiltonian_sim(H: DenseHermitian, t: float, b: int = 8) -> np.ndarray:
+    """Approximate e^{-it Pi_H} (Pi_H = projector off the groundstate).
+
+    Simulates estimate -> conditional phase on the flag -> un-estimate; the
+    returned dense operator is the ancilla-restored block, near-unitary with
+    deviation set by the register leakage.
+    """
+    dec, phases, thr = _phase_setup(H, b)
+    B = 1 << b
+    flags = np.array([0.0 if _is_ground_reading(y, b, thr) else 1.0 for y in range(B)])
+    gammas = np.empty(dec.dim, dtype=complex)
+    for j, p in enumerate(phases):
+        w = np.abs(_qpe_register_amplitudes(p, b)) ** 2
+        gammas[j] = np.sum(w * np.exp(-1j * t * flags))
+    V = dec.eigenvectors
+    return (V * gammas) @ V.conj().T
+
+
+def exact_projector_exponential(H: DenseHermitian, t: float) -> UnitaryMatrix:
+    """Reference e^{-it Pi_H} built from the exact groundstate."""
+    _, alpha = ground_state(H)
+    return matrix_exponential(projector_hamiltonian(alpha), t)
+
+
+# ---------------------------------------------------------------------------
+# Zeno evolution
+
+
+def zeno_evolve(path: HamiltonianPath, R: int, psi0: StateVector,
+                rng: np.random.Generator | None = None) -> EvolutionReport:
+    """R successive groundstate measurements at s = j/R (exact-projector mode).
+
+    With rng=None the report is deterministic: success_probability is the
+    closed-form product of consecutive squared groundstate overlaps and the
+    final state is the conditional (all-success) one.  With an rng, a single
+    measurement trajectory is sampled and `succeeded` records its outcome.
+    """
+    if R < 1:
+        raise ValueError("R must be >= 1")
+    _, g0 = ground_state(path.evaluate(0.0))
+    if abs(abs(state_overlap(psi0, g0)) - 1.0) > 1e-6:
+        raise ValueError("psi0 is not the groundstate of H(0)")
+    grid_states = [g0]
+    for j in range(1, R + 1):
+        _, g = ground_state(path.evaluate(j / R))
+        grid_states.append(g)
+    step_probs = np.array([
+        abs(state_overlap(grid_states[j], grid_states[j + 1])) ** 2 for j in range(R)
+    ])
+    exact_success = float(np.prod(step_probs))
+
+    if rng is None:
+        return EvolutionReport(
+            final_state=grid_states[-1],
+            success_probability=exact_success,
+            per_step_overlaps=step_probs,
+            steps=R,
+        )
+
+    cur = psi0.amplitudes.copy()
+    succeeded = True
+    for j in range(1, R + 1):
+        g = grid_states[j].amplitudes
+        p = abs(np.vdot(g, cur)) ** 2
+        if rng.random() < p:
+            cur = g.copy()
+        else:
+            cur = cur - np.vdot(g, cur) * g
+            cur = cur / np.linalg.norm(cur)
+            succeeded = False
+    return EvolutionReport(
+        final_state=StateVector.from_amplitudes(cur, normalize=True),
+        success_probability=exact_success,
+        per_step_overlaps=step_probs,
+        steps=R,
+        succeeded=succeeded,
+    )
+
+
+def zeno_success_samples(step_probs: np.ndarray, shots: int,
+                         rng: np.random.Generator, chunk: int = 512) -> int:
+    """Number of all-success trajectories out of `shots` (vectorized, chunked)."""
+    total = 0
+    done = 0
+    while done < shots:
+        k = min(chunk, shots - done)
+        u = rng.random((k, step_probs.size))
+        total += int(np.sum(np.all(u < step_probs[None, :], axis=1)))
+        done += k
+    return total
+
+
+def groundstate_perturbation_bound(H: DenseHermitian, J: DenseHermitian) -> tuple[float, float]:
+    """Groundstate overlap |<a(H)|a(J)>| and its lower bound 1 - 4 eta^2/gap^2."""
+    _, aH = ground_state(H)
+    _, aJ = ground_state(J)
+    eta = spectral_norm(H.entries - J.entries)
+    gap = min(spectral_gap(H), spectral_gap(J))
+    lhs = abs(state_overlap(aH, aJ))
+    rhs = 1.0 - 4.0 * eta**2 / gap**2
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# Gate sequences and the circuit-to-path compiler
+
+_SQRT2_INV = 1.0 / math.sqrt(2.0)
+_H2 = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
+_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+BASE_GATES = ("H", "X", "CCX")
+SQRT_GATES = {"H": "SH", "X": "SX", "CCX": "SCCX"}
+
+
+def _sqrt_pm1(U: np.ndarray) -> np.ndarray:
+    """Square root of a +-1-eigenvalue unitary: 1 -> 1, -1 -> i."""
+    vals, vecs = np.linalg.eigh(U)
+    roots = np.where(vals > 0, 1.0 + 0j, 1j)
+    return (vecs * roots) @ vecs.conj().T
+
+
+_SH2 = _sqrt_pm1(_H2)
+_SX2 = _sqrt_pm1(_X2)
+
+
+def sqrt_gate(kind: str) -> UnitaryMatrix:
+    """Principal square root of H, X or CCX (eigenvalue -1 mapped to i)."""
+    if kind == "H":
+        return UnitaryMatrix(_SH2)
+    if kind == "X":
+        return UnitaryMatrix(_SX2)
+    if kind == "CCX":
+        U = np.eye(8, dtype=complex)
+        U[6:8, 6:8] = _SX2
+        return UnitaryMatrix(U)
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class GateSequence:
+    n: int
+    gates: tuple[tuple[str, tuple[int, ...]], ...]
+
+    def __post_init__(self):
+        for name, qubits in self.gates:
+            if name not in ("H", "X", "CCX", "SH", "SX", "SCCX"):
+                raise ValueError(f"unsupported gate {name!r}")
+            want = 3 if name.endswith("CCX") else 1
+            if len(qubits) != want:
+                raise ValueError(f"{name} takes {want} qubits, got {qubits}")
+            if any(q < 0 or q >= self.n for q in qubits):
+                raise ValueError(f"qubit index out of range in {name} {qubits}")
+            if want == 3 and len(set(qubits)) != 3:
+                raise ValueError(f"CCX qubits must be distinct: {qubits}")
+
+
+def parse_gate_lines(n: int, text: str) -> GateSequence:
+    """Line format: 'H q' | 'X q' | 'CCX q1 q2 q3'."""
+    gates = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        gates.append((parts[0], tuple(int(p) for p in parts[1:])))
+    return GateSequence(n=n, gates=tuple(gates))
+
+
+def _apply_1q(state: np.ndarray, n: int, U: np.ndarray, q: int) -> np.ndarray:
+    psi = state.reshape([2] * n)
+    psi = np.moveaxis(psi, q, 0)
+    psi = np.tensordot(U, psi, axes=([1], [0]))
+    return np.moveaxis(psi, 0, q).reshape(-1)
+
+
+def _apply_ccx(state: np.ndarray, n: int, U_target: np.ndarray, c1: int, c2: int, tq: int) -> np.ndarray:
+    psi = state.reshape([2] * n).copy()
+    sel = [slice(None)] * n
+    sel[c1] = 1
+    sel[c2] = 1
+    sub = psi[tuple(sel)]
+    sub = np.moveaxis(sub.reshape([2] * (n - 2)), tq - sum(q < tq for q in (c1, c2)), 0)
+    sub = np.tensordot(U_target, sub, axes=([1], [0]))
+    sub = np.moveaxis(sub, 0, tq - sum(q < tq for q in (c1, c2)))
+    psi[tuple(sel)] = sub
+    return psi.reshape(-1)
+
+
+def apply_gate(state: np.ndarray, n: int, name: str, qubits: tuple[int, ...]) -> np.ndarray:
+    if name == "H":
+        return _apply_1q(state, n, _H2, qubits[0])
+    if name == "X":
+        return _apply_1q(state, n, _X2, qubits[0])
+    if name == "SH":
+        return _apply_1q(state, n, _SH2, qubits[0])
+    if name == "SX":
+        return _apply_1q(state, n, _SX2, qubits[0])
+    if name == "CCX":
+        return _apply_ccx(state, n, _X2, *qubits)
+    if name == "SCCX":
+        return _apply_ccx(state, n, _SX2, *qubits)
+    raise ValueError(f"unknown gate {name!r}")
+
+
+def expand_sqrt(gates: GateSequence) -> GateSequence:
+    """Replace each base gate by two of its square roots."""
+    out = []
+    for name, qubits in gates.gates:
+        if name not in SQRT_GATES:
+            raise ValueError(f"only base gates {BASE_GATES} may be compiled, got {name!r}")
+        s = SQRT_GATES[name]
+        out.append((s, qubits))
+        out.append((s, qubits))
+    return GateSequence(n=gates.n, gates=tuple(out))
+
+
+def input_state(n: int, x: str) -> StateVector:
+    """|x, 0...0> on n qubits; x gives the leading bits."""
+    bits = x + "0" * (n - len(x))
+    if len(bits) != n or any(b not in "01" for b in bits):
+        raise ValueError(f"bad input bitstring {x!r} for n={n}")
+    return StateVector.basis(1 << n, int(bits, 2))
+
+
+def circuit_states(gates: GateSequence, x: str) -> list[StateVector]:
+    """Intermediate states |alpha(j)> after each prefix of the sequence."""
+    psi = input_state(gates.n, x).amplitudes
+    out = [StateVector.from_amplitudes(psi, normalize=True)]
+    for name, qubits in gates.gates:
+        psi = apply_gate(psi, gates.n, name, qubits)
+        out.append(StateVector.from_amplitudes(psi, normalize=True))
+    return out
+
+
+def simulate_circuit(gates: GateSequence, x: str) -> StateVector:
+    return circuit_states(gates, x)[-1]
+
+
+def compile_circuit(gates: GateSequence, x: str) -> HamiltonianPath:
+    """Jagged projector path tracking the sqrt-doubled circuit on input x.
+
+    Every consecutive groundstate overlap is >= 1/sqrt(2), so the path gap
+    never falls below 1/sqrt(2).
+    """
+    doubled = expand_sqrt(gates)
+    states = circuit_states(doubled, x)
+    return jagged_path(states, label=f"compiled[{len(doubled.gates)} gates]")
+
+
+def simulatable_handle_for_step(gates: GateSequence, x: str, j: int, delta: float) -> np.ndarray:
+    """Dense e^{-i delta H_x(j)} via prefix-conjugated conditional phase.
+
+    H_x(j) = I - |alpha_x(j)><alpha_x(j)| for the sqrt-doubled circuit: undo
+    the first j gates, phase e^{-i delta} everything except |x, 0...0>, redo
+    the gates.
+    """
+    doubled = expand_sqrt(gates)
+    if not 0 <= j <= len(doubled.gates):
+        raise IndexError(f"prefix index {j} out of range [0, {len(doubled.gates)}]")
+    n = gates.n
+    N = 1 << n
+    x0 = int((x + "0" * (n - len(x))), 2)
+    U = np.eye(N, dtype=complex)
+    prefix = doubled.gates[:j]
+    for name, qubits in reversed(prefix):
+        inv = {"SH": _SH2.conj().T, "SX": _SX2.conj().T}
+        if name in inv:
+            U = np.stack([_apply_1q(U[:, c], n, inv[name], qubits[0]) for c in range(N)], axis=1)
+        else:
+            U = np.stack([_apply_ccx(U[:, c], n, _SX2.conj().T, *qubits) for c in range(N)], axis=1)
+    phases = np.full(N, np.exp(-1j * delta), dtype=complex)
+    phases[x0] = 1.0
+    U = phases[:, None] * U
+    for name, qubits in prefix:
+        U = np.stack([apply_gate(U[:, c], n, name, qubits) for c in range(N)], axis=1)
+    return U

@@ -1,0 +1,215 @@
+"""Exact complex linear algebra: states, Hermitian operators, spectra, exponentials.
+
+Everything here is computed by full eigendecomposition (desk scale, dim <= 4096)
+and serves as the ground-truth oracle for the rest of the package.  hbar = 1.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+HERMITICITY_TOL = 1e-10
+DEGENERACY_TOL = 1e-10
+MAX_DIM = 4096
+
+
+class DegenerateGroundstateError(ValueError):
+    """Raised when a unique groundstate is required but the gap is below tolerance."""
+
+
+class DimensionMismatchError(ValueError):
+    pass
+
+
+def _as_complex_array(a) -> np.ndarray:
+    return np.asarray(a, dtype=complex)
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Unit-norm complex amplitude vector.
+
+    The natural habitat is dimension 2^n (n qubits); non-power-of-two state
+    spaces (e.g. Markov chains before padding) are allowed, in which case
+    ``n`` is None.
+    """
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = _as_complex_array(self.amplitudes)
+        object.__setattr__(self, "amplitudes", amps)
+        if amps.ndim != 1 or amps.size < 1:
+            raise ValueError("amplitudes must be a nonempty vector")
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"state not normalized: |psi| = {norm}")
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.size
+
+    @property
+    def n(self) -> int | None:
+        d = self.dim
+        return d.bit_length() - 1 if d & (d - 1) == 0 else None
+
+    @staticmethod
+    def from_amplitudes(amps, normalize: bool = False) -> "StateVector":
+        amps = _as_complex_array(amps)
+        if normalize:
+            amps = amps / np.linalg.norm(amps)
+        return StateVector(amps)
+
+    @staticmethod
+    def basis(dim: int, index: int) -> "StateVector":
+        amps = np.zeros(dim, dtype=complex)
+        amps[index] = 1.0
+        return StateVector(amps)
+
+
+@dataclass(frozen=True)
+class DenseHermitian:
+    """Hermitian matrix (energy units, hbar = 1)."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        m = _as_complex_array(self.entries)
+        object.__setattr__(self, "entries", m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("entries must be square")
+        if m.shape[0] > MAX_DIM:
+            raise ValueError(f"dimension {m.shape[0]} exceeds desk-scale limit {MAX_DIM}")
+        resid = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+        if resid > HERMITICITY_TOL:
+            raise ValueError(f"matrix not Hermitian: residual {resid}")
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class UnitaryMatrix:
+    entries: np.ndarray
+
+    def __post_init__(self):
+        m = _as_complex_array(self.entries)
+        object.__setattr__(self, "entries", m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("entries must be square")
+        resid = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+        if resid > 1e-9:
+            raise ValueError(f"matrix not unitary: residual {resid}")
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """Ascending eigenvalues and orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.size
+
+
+def decompose_hermitian(H: DenseHermitian) -> SpectralDecomposition:
+    vals, vecs = np.linalg.eigh(H.entries)
+    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+
+
+def spectral_norm(A) -> float:
+    """Largest singular value; for Hermitian input the largest |eigenvalue|."""
+    m = A.entries if isinstance(A, DenseHermitian) else _as_complex_array(A)
+    if m.size == 0:
+        return 0.0
+    return float(np.linalg.norm(m, 2))
+
+
+def matrix_exponential(H: DenseHermitian, t: float) -> UnitaryMatrix:
+    """e^{-iHt} via full eigendecomposition."""
+    dec = decompose_hermitian(H)
+    V = dec.eigenvectors
+    phases = np.exp(-1j * dec.eigenvalues * t)
+    return UnitaryMatrix((V * phases) @ V.conj().T)
+
+
+def spectral_gap(H: DenseHermitian) -> float:
+    """Difference between the two smallest eigenvalues."""
+    if H.dim < 2:
+        raise ValueError("spectral gap needs dim >= 2")
+    vals = np.linalg.eigvalsh(H.entries)
+    return float(vals[1] - vals[0])
+
+
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """Make the first component of nonnegligible magnitude real positive."""
+    idx = np.argmax(np.abs(v) > 1e-12)
+    pivot = v[idx]
+    if abs(pivot) == 0:
+        return v
+    return v * (abs(pivot) / pivot)
+
+
+def ground_state(H: DenseHermitian, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[float, StateVector]:
+    """Groundvalue and groundstate, phase-fixed; errors out on degeneracy."""
+    dec = decompose_hermitian(H)
+    if H.dim >= 2 and dec.eigenvalues[1] - dec.eigenvalues[0] < degeneracy_tol:
+        raise DegenerateGroundstateError(
+            f"groundstate degenerate: gap {dec.eigenvalues[1] - dec.eigenvalues[0]:.3e} "
+            f"< tol {degeneracy_tol:.3e}"
+        )
+    v = _fix_phase(dec.eigenvectors[:, 0])
+    return float(dec.eigenvalues[0]), StateVector.from_amplitudes(v, normalize=True)
+
+
+def state_overlap(psi: StateVector, phi: StateVector) -> complex:
+    if psi.dim != phi.dim:
+        raise DimensionMismatchError(f"dims {psi.dim} != {phi.dim}")
+    return complex(np.vdot(psi.amplitudes, phi.amplitudes))
+
+
+def random_sparse_hermitian(n: int, D: int, lam: float, seed: int) -> DenseHermitian:
+    """Random Hermitian test instance: <= D nonzeros per row, norm <= lam.
+
+    Deterministic per seed.  Pattern is built greedily respecting per-row
+    budgets, then the matrix is rescaled to spectral norm lam.
+    """
+    if D < 1 or lam <= 0:
+        raise ValueError("need D >= 1 and lam > 0")
+    N = 1 << n
+    if D > N:
+        raise ValueError(f"row sparsity D={D} infeasible for dim {N}")
+    rng = np.random.default_rng(seed)
+    H = np.zeros((N, N), dtype=complex)
+    budget = np.full(N, D, dtype=int)
+
+    # Diagonal entries cost one slot in a single row.
+    for i in range(N):
+        if budget[i] >= 1 and rng.random() < 0.5:
+            H[i, i] = rng.normal()
+            budget[i] -= 1
+
+    # Off-diagonal: each candidate pair consumes a slot in both rows.
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    rng.shuffle(pairs)
+    for i, j in pairs:
+        if budget[i] >= 1 and budget[j] >= 1 and rng.random() < 0.7:
+            v = rng.normal() + 1j * rng.normal()
+            H[i, j] = v
+            H[j, i] = v.conjugate()
+            budget[i] -= 1
+            budget[j] -= 1
+
+    norm = spectral_norm(H)
+    if norm > 0:
+        H *= lam / norm
+    return DenseHermitian(H)
