@@ -16,6 +16,7 @@ from .qcore import (
     DEGENERACY_TOL,
     DegenerateGroundstateError,
     DenseHermitian,
+    NumericalError,
     StateVector,
     UnitaryMatrix,
     decompose_hermitian,
@@ -35,7 +36,6 @@ class HamiltonianPath:
 
     evaluate: Callable[[float], DenseHermitian]
     breakpoints: tuple[float, ...] = ()
-    norm_bound: float = 0.0
     label: str = ""
 
     @property
@@ -72,12 +72,11 @@ def projector_hamiltonian(alpha: StateVector) -> DenseHermitian:
 def linear_path(H0: DenseHermitian, H1: DenseHermitian, label: str = "linear") -> HamiltonianPath:
     if H0.dim != H1.dim:
         raise ValueError(f"dims {H0.dim} != {H1.dim}")
-    bound = max(spectral_norm(H0), spectral_norm(H1))
 
     def evaluate(s: float) -> DenseHermitian:
         return DenseHermitian((1 - s) * H0.entries + s * H1.entries)
 
-    return HamiltonianPath(evaluate=evaluate, breakpoints=(), norm_bound=bound, label=label)
+    return HamiltonianPath(evaluate=evaluate, breakpoints=(), label=label)
 
 
 def segment_min_gap(alpha: StateVector, beta: StateVector) -> float:
@@ -91,7 +90,7 @@ def two_projector_gap_formula(overlap_mag: float, eta: float) -> float:
     return math.sqrt(max(0.0, 1.0 - 4.0 * (1.0 - eta) * eta * b_perp_sq))
 
 
-class DisconnectedPathError(ValueError):
+class DisconnectedPathError(NumericalError, ValueError):
     """Consecutive groundstates are orthogonal; the jagged path has a closing gap."""
 
 
@@ -107,7 +106,7 @@ def jagged_path(states: Sequence[StateVector], label: str = "jagged") -> Hamilto
     L = len(projectors)
     if L == 1:
         P = projectors[0]
-        return HamiltonianPath(evaluate=lambda s, _P=P: _P, norm_bound=1.0, label=label)
+        return HamiltonianPath(evaluate=lambda s, _P=P: _P, label=label)
 
     def evaluate(s: float) -> DenseHermitian:
         x = min(max(s, 0.0), 1.0) * (L - 1)
@@ -116,7 +115,7 @@ def jagged_path(states: Sequence[StateVector], label: str = "jagged") -> Hamilto
         return DenseHermitian((1 - eta) * projectors[j].entries + eta * projectors[j + 1].entries)
 
     bps = tuple(j / (L - 1) for j in range(1, L - 1))
-    return HamiltonianPath(evaluate=evaluate, breakpoints=bps, norm_bound=1.0, label=label)
+    return HamiltonianPath(evaluate=evaluate, breakpoints=bps, label=label)
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def evolve_discretized(path: HamiltonianPath, sched: Schedule, delta: float,
 # Phase estimation
 
 
-class InsufficientPrecisionError(ValueError):
+class InsufficientPrecisionError(NumericalError, ValueError):
     """Ancilla register too coarse to resolve the spectral gap."""
 
 

@@ -7,6 +7,7 @@ column-data series files for plotting.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -18,7 +19,9 @@ import numpy as np
 
 from . import adiabatic, markov, sparseham, szk
 from .qcore import (
+    DegenerateGroundstateError,
     DenseHermitian,
+    NumericalError,
     StateVector,
     ground_state,
     matrix_exponential,
@@ -28,11 +31,9 @@ from .qcore import (
     state_overlap,
 )
 
-COMMANDS = (
-    "decompose-check", "trotter-sweep", "gap-formula", "zeno-run",
-    "adiabatic-run", "compile-circuit", "zen-bound", "markov-spectrum",
-    "matchings-qsample", "szk-sd", "szk-dlp", "szk-qr",
-)
+
+class ConfigError(ValueError):
+    """A config its command does not accept: unknown key, wrong type, non-finite value."""
 
 
 def subseed(master: int, label: str) -> int:
@@ -107,10 +108,9 @@ def emit_series(report: RunReport, directory) -> list[str]:
 
 def _run_decompose_check(cfg: dict, report: RunReport) -> None:
     rng = sub_rng(cfg["seed"], "decompose-instances")
-    instances = cfg.get("instances", 50)
     worst_norm_excess = 0.0
     max_count_ratio = 0.0
-    for trial in range(instances):
+    for trial in range(cfg["instances"]):
         n = int(rng.integers(3, 7))
         D = int(rng.integers(2, 7))
         H = random_sparse_hermitian(n, D, 1.0, int(rng.integers(1 << 31)))
@@ -121,54 +121,44 @@ def _run_decompose_check(cfg: dict, report: RunReport) -> None:
         norm_h = spectral_norm(H)
         for p in pieces:
             worst_norm_excess = max(worst_norm_excess, p.norm() - norm_h)
-    report.scalars["instances"] = instances
+    report.scalars["instances"] = cfg["instances"]
     report.scalars["max_piece_count_ratio"] = max_count_ratio
     report.scalars["worst_norm_excess"] = worst_norm_excess
     report.flags["piece_count_bound"] = max_count_ratio <= 1.0
     report.flags["norm_domination"] = worst_norm_excess <= 1e-12
 
 
-def _loglog_slope(xs, ys) -> float:
-    lx, ly = np.log(np.asarray(xs)), np.log(np.asarray(ys))
-    return float(np.polyfit(lx, ly, 1)[0])
-
-
 def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
-    n, D, lam, t = cfg.get("n", 5), cfg.get("D", 4), cfg.get("lam", 1.0), cfg.get("t", 1.0)
+    n, D, lam, t = cfg["n"], cfg["D"], cfg["lam"], cfg["t"]
     H = random_sparse_hermitian(n, D, lam, subseed(cfg["seed"], "trotter-instance"))
     sh = sparseham.sparse_from_dense(H, D=None, lam=lam)
     pieces = sparseham.decompose(sh)
     exact = matrix_exponential(H, t).entries
     rows = []
-    deltas, errors = [], []
-    steps = cfg.get("start_steps", 2)
-    for _ in range(cfg.get("points", 6)):
+    steps = cfg["start_steps"]
+    for _ in range(cfg["points"]):
         delta = t / (2 * steps)
         U = sparseham.trotter_unitary(pieces, delta, steps, H.dim)
-        err = spectral_norm(U - exact)
-        deltas.append(delta)
-        errors.append(max(err, 1e-16))
-        rows.append((delta, err))
+        rows.append((delta, spectral_norm(U - exact)))
         steps *= 2
-    slope = _loglog_slope(deltas, errors)
-    alpha = cfg.get("alpha", 1e-3)
-    U = sparseham.simulate_sparse(sh, t, alpha)
+    log_deltas, log_errors = np.log([d for d, _ in rows]), np.log([max(e, 1e-16) for _, e in rows])
+    slope = float(np.polyfit(log_deltas, log_errors, 1)[0])
+    U = sparseham.simulate_sparse(sh, t, cfg["alpha"])
     achieved = spectral_norm(U - exact)
     report.series["delta_sweep"] = (("delta", "measured_error"), rows)
     report.scalars["loglog_slope"] = slope
-    report.scalars["requested_alpha"] = alpha
+    report.scalars["requested_alpha"] = cfg["alpha"]
     report.scalars["achieved_error"] = achieved
     report.flags["slope_at_least_linear"] = slope >= 0.9
-    report.flags["accuracy_met"] = achieved <= alpha
+    report.flags["accuracy_met"] = achieved <= cfg["alpha"]
 
 
 def _run_gap_formula(cfg: dict, report: RunReport) -> None:
     rng = sub_rng(cfg["seed"], "gap-formula")
-    trials = cfg.get("trials", 100)
-    dim = cfg.get("dim", 8)
+    dim = cfg["dim"]
     worst = 0.0
     worst_min = 0.0
-    for _ in range(trials):
+    for _ in range(cfg["trials"]):
         a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         alpha = StateVector.from_amplitudes(a, normalize=True)
@@ -188,11 +178,10 @@ def _run_gap_formula(cfg: dict, report: RunReport) -> None:
 
 def _run_zen_bound(cfg: dict, report: RunReport) -> None:
     rng = sub_rng(cfg["seed"], "zen-bound")
-    trials = cfg.get("trials", 200)
-    dim = cfg.get("dim", 8)
+    dim = cfg["dim"]
     violations = 0
     worst_margin = math.inf
-    for _ in range(trials):
+    for _ in range(cfg["trials"]):
         A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         H = DenseHermitian((A + A.conj().T) / 2)
         P = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -201,7 +190,7 @@ def _run_zen_bound(cfg: dict, report: RunReport) -> None:
         J = DenseHermitian(H.entries + scale * P)
         try:
             lhs, rhs = adiabatic.groundstate_perturbation_bound(H, J)
-        except Exception:
+        except DegenerateGroundstateError:
             continue  # degenerate draw; not a promise instance
         worst_margin = min(worst_margin, lhs - rhs)
         if lhs < rhs:
@@ -211,61 +200,50 @@ def _run_zen_bound(cfg: dict, report: RunReport) -> None:
     report.flags["inequality_holds"] = violations == 0
 
 
-def _builtin_circuit(name: str) -> tuple[adiabatic.GateSequence, str]:
-    if name == "bell2":
-        gates = adiabatic.GateSequence(n=2, gates=(("H", (0,)), ("X", (1,))))
-        return gates, "00"
-    if name == "ghz3":
-        gates = adiabatic.GateSequence(
-            n=3, gates=(("H", (0,)), ("CCX", (0, 1, 2)), ("X", (1,))))
-        return gates, "00"
-    raise ValueError(f"unknown builtin circuit {name!r}")
+_BUILTIN_CIRCUITS = {
+    "bell2": adiabatic.GateSequence(n=2, gates=(("H", (0,)), ("X", (1,)))),
+    "ghz3": adiabatic.GateSequence(n=3, gates=(("H", (0,)), ("CCX", (0, 1, 2)), ("X", (1,)))),
+}
 
 
 def _load_circuit(cfg: dict) -> tuple[adiabatic.GateSequence, str]:
-    if cfg.get("gate_file"):
+    """The gates of `gate_file` on `n` qubits, else the builtin `circuit`; and the input `x`."""
+    if cfg["gate_file"]:
         with open(cfg["gate_file"]) as f:
-            gates = adiabatic.parse_gate_lines(cfg["n"], f.read())
-        return gates, cfg.get("x", "0" * cfg["n"])
-    return _builtin_circuit(cfg.get("circuit", "bell2"))
+            return adiabatic.parse_gate_lines(cfg["n"], f.read()), cfg["x"]
+    if cfg["circuit"] not in _BUILTIN_CIRCUITS:
+        raise ConfigError(f"circuit must be one of {', '.join(_BUILTIN_CIRCUITS)}, got {cfg['circuit']!r}")
+    return _BUILTIN_CIRCUITS[cfg["circuit"]], cfg["x"]
 
 
 def _run_zeno_run(cfg: dict, report: RunReport) -> None:
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
     _, psi0 = ground_state(path.evaluate(0.0))
-    shots = cfg.get("shots", 10000)
     rng = sub_rng(cfg["seed"], "zeno-mc")
     rows = []
-    prev_fail = math.inf
-    monotone = True
-    for R in cfg.get("R_sweep", [250, 500, 1000, 2000]):
+    for R in cfg["R_sweep"]:
         rep = adiabatic.zeno_evolve(path, R, psi0)
-        exact_fail = 1.0 - rep.success_probability
-        mc = adiabatic.zeno_success_samples(rep.per_step_overlaps, shots, rng)
-        mc_fail = 1.0 - mc / shots
-        rows.append((R, exact_fail, mc_fail))
-        if exact_fail > prev_fail + 1e-12:
-            monotone = False
-        prev_fail = exact_fail
+        mc = adiabatic.zeno_success_samples(rep.per_step_overlaps, cfg["shots"], rng)
+        rows.append((R, 1.0 - rep.success_probability, 1.0 - mc / cfg["shots"]))
+    fails = [exact_fail for _, exact_fail, _ in rows]
     report.series["zeno_failure"] = (("R", "exact_failure", "mc_failure"), rows)
-    report.flags["failure_monotone_nonincreasing"] = monotone
+    report.flags["failure_monotone_nonincreasing"] = all(b <= a + 1e-12 for a, b in zip(fails, fails[1:]))
 
 
 def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
-    eps = cfg.get("eps", 0.05)
+    eps = cfg["eps"]
     cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1.0, eps=eps))
-    T = cfg.get("T", 0.0) or max(1.0, cond.max_ratio / eps)
-    rep = adiabatic.evolve_discretized(
-        path, adiabatic.Schedule(T=T, eps=eps), cfg.get("delta", 0.05),
-        ground_state(path.evaluate(0.0))[1])
+    T = cfg["T"] or max(1.0, cond.max_ratio / eps)
+    rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=eps), cfg["delta"],
+                                       ground_state(path.evaluate(0.0))[1])
     report.scalars["T"] = T
     report.scalars["max_condition_ratio"] = cond.max_ratio
     report.scalars["final_fidelity_sq"] = rep.success_probability
     report.flags["condition_holds"] = T * eps >= cond.max_ratio
-    report.flags["reached_target"] = rep.success_probability >= cfg.get("target_fidelity", 0.9)
+    report.flags["reached_target"] = rep.success_probability >= cfg["target_fidelity"]
 
 
 def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
@@ -274,8 +252,8 @@ def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
     states = adiabatic.circuit_states(doubled, x)
     overlaps = [abs(state_overlap(a, b)) for a, b in zip(states, states[1:])]
     path = adiabatic.jagged_path(states)
-    gaps = [spectral_gap(path.evaluate(s)) for s in np.linspace(0, 1, cfg.get("grid", 101))]
-    rep = adiabatic.zeno_evolve(path, cfg.get("R", 2000), states[0])
+    gaps = [spectral_gap(path.evaluate(s)) for s in np.linspace(0, 1, cfg["grid"])]
+    rep = adiabatic.zeno_evolve(path, cfg["R"], states[0])
     target = adiabatic.simulate_circuit(gates, x)
     fid = abs(state_overlap(rep.final_state, target))
     inv_sqrt2 = 1 / math.sqrt(2)
@@ -284,15 +262,14 @@ def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
     report.scalars["zeno_fidelity"] = fid
     report.flags["overlaps_above_inv_sqrt2"] = all(o >= inv_sqrt2 - 1e-12 for o in overlaps)
     report.flags["gaps_above_inv_sqrt2"] = min(gaps) >= inv_sqrt2 - 1e-9
-    report.flags["matches_circuit_output"] = fid >= cfg.get("target_fidelity", 0.99)
+    report.flags["matches_circuit_output"] = fid >= cfg["target_fidelity"]
 
 
 def _run_markov_spectrum(cfg: dict, report: RunReport) -> None:
     rng = sub_rng(cfg["seed"], "markov-spectrum")
-    trials = cfg.get("trials", 50)
     worst_spec = worst_ground = 0.0
-    for _ in range(trials):
-        N = int(rng.integers(2, cfg.get("max_states", 33)))
+    for _ in range(cfg["trials"]):
+        N = int(rng.integers(2, cfg["max_states"]))
         chain = _random_reversible_chain(N, rng)
         pi = markov.stationary(chain)
         H = markov.chain_hamiltonian(chain, pi)
@@ -325,15 +302,13 @@ def _random_reversible_chain(N: int, rng: np.random.Generator) -> markov.MarkovC
 
 
 def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
-    n = cfg.get("n", 2)
-    removed = cfg.get("removed_edge", [0, 0])
-    target = {(u, v) for u in range(n) for v in range(n)} - {tuple(removed)}
+    n = cfg["n"]
+    target = {(u, v) for u in range(n) for v in range(n)} - {tuple(cfg["removed_edge"])}
     seed_state, space = markov.matchings_seed_qsample(n)
     _, _, p_perfect = markov.project_perfect(seed_state, space)
-    seq, space_t = markov.anneal_weights_sequence(
-        n, target, cfg.get("steps", 20), cfg.get("ratio", 0.7))
+    seq, space_t = markov.anneal_weights_sequence(n, target, cfg["steps"], cfg["ratio"])
     sv = markov.check_slowly_varying(seq)
-    rep = markov.qsample_sequence(seq, seed_state, mode="zeno", R=cfg.get("R", 500))
+    rep = markov.qsample_sequence(seq, seed_state, mode="zeno", R=cfg["R"])
     final_pi = markov.stationary(seq.chains[-1])
     target_state = markov.pi_state(final_pi)
     fid = abs(state_overlap(rep.final_state, target_state))
@@ -348,22 +323,19 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     report.scalars["post_uniform_deviation"] = uniform_dev
     report.scalars["post_off_target_mass"] = off_mass
     report.flags["slowly_varying"] = sv.ok
-    report.flags["qsample_fidelity"] = fid >= cfg.get("target_fidelity", 0.99)
+    report.flags["qsample_fidelity"] = fid >= cfg["target_fidelity"]
 
 
 def _run_szk_sd(cfg: dict, report: RunReport) -> None:
-    kind = cfg.get("kind", "far")
     n = 3
-    if kind == "far":
+    if cfg["kind"] == "far":
         C0 = szk.circuit_from_table(n, 3, [x % 2 for x in range(8)])
         C1 = szk.circuit_from_table(n, 3, [2 + x % 2 for x in range(8)])
         expected = "yes"
     else:
-        C0 = szk.circuit_from_table(n, 3, [x % 4 for x in range(8)])
-        C1 = szk.circuit_from_table(n, 3, [x % 4 for x in range(8)])
+        C0 = C1 = szk.circuit_from_table(n, 3, [x % 4 for x in range(8)])
         expected = "no"
-    delta = cfg.get("delta", 0.01)
-    trials = cfg.get("trials", 100)
+    delta, trials = cfg["delta"], cfg["trials"]
     rng = sub_rng(cfg["seed"], "szk-sd")
     errors = sum(szk.sd_decider(C0, C1, delta, rng) != expected for _ in range(trials))
     report.scalars["trials"] = trials
@@ -374,35 +346,32 @@ def _run_szk_sd(cfg: dict, report: RunReport) -> None:
 
 
 def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
-    p, g = cfg.get("p", 251), cfg.get("g", 6)
+    p, g = cfg["p"], cfg["g"]
     rng = sub_rng(cfg["seed"], "szk-dlp")
-    shots = cfg.get("shots", 4000)
-    instances = cfg.get("instances", 25)
     c = 1 / 6
     mismatches = 0
-    for _ in range(instances):
+    for _ in range(cfg["instances"]):
         if rng.random() < 0.5:
             x = int(rng.integers(1, int(c * p) + 1))
         else:
             x = int(rng.integers(p // 2 + 1, p // 2 + int(c * p) + 1))
         y = pow(g, x, p)
-        got = szk.dlp_decider(p, g, y, shots, rng)
+        got = szk.dlp_decider(p, g, y, cfg["shots"], rng)
         want = szk.dlp_promise_holds(p, g, y)
         if got != want:
             mismatches += 1
-    report.scalars["instances"] = instances
+    report.scalars["instances"] = cfg["instances"]
     report.scalars["mismatches"] = mismatches
     report.flags["matches_referee"] = mismatches == 0
 
 
 def _run_szk_qr(cfg: dict, report: RunReport) -> None:
     rng = sub_rng(cfg["seed"], "szk-qr")
-    shots = cfg.get("shots", 4000)
     mismatches = 0
     total = 0
-    for nn in cfg.get("moduli", [15, 21, 33]):
+    for nn in cfg["moduli"]:
         for x in szk.units(nn):
-            got = szk.qr_decider(nn, x, shots, rng)
+            got = szk.qr_decider(nn, x, cfg["shots"], rng)
             want = "residue" if szk.is_residue(x, nn) else "nonresidue"
             total += 1
             if got != want:
@@ -412,77 +381,107 @@ def _run_szk_qr(cfg: dict, report: RunReport) -> None:
     report.flags["matches_referee"] = mismatches == 0
 
 
-_DISPATCH = {
-    "decompose-check": _run_decompose_check,
-    "trotter-sweep": _run_trotter_sweep,
-    "gap-formula": _run_gap_formula,
-    "zeno-run": _run_zeno_run,
-    "adiabatic-run": _run_adiabatic_run,
-    "compile-circuit": _run_compile_circuit,
-    "zen-bound": _run_zen_bound,
-    "markov-spectrum": _run_markov_spectrum,
-    "matchings-qsample": _run_matchings_qsample,
-    "szk-sd": _run_szk_sd,
-    "szk-dlp": _run_szk_dlp,
-    "szk-qr": _run_szk_qr,
+_CIRCUIT = dict(circuit="bell2", gate_file="", n=0, x="")  # a gate_file needs n; x is zero-padded
+
+# command -> (runner, defaults).  The runner reads exactly these keys.  A key's
+# type is its default's type; a list default's first item gives its items' type.
+COMMANDS = {
+    "decompose-check": (_run_decompose_check, dict(instances=50)),
+    "trotter-sweep": (_run_trotter_sweep, dict(n=5, D=4, lam=1.0, t=1.0, start_steps=2, points=6, alpha=1e-3)),
+    "gap-formula": (_run_gap_formula, dict(trials=100, dim=8)),
+    "zeno-run": (_run_zeno_run, dict(_CIRCUIT, shots=10000, R_sweep=[250, 500, 1000, 2000])),
+    # T = 0 derives T from the adiabatic condition
+    "adiabatic-run": (_run_adiabatic_run, dict(_CIRCUIT, T=0.0, eps=0.05, delta=0.05, target_fidelity=0.9)),
+    "compile-circuit": (_run_compile_circuit, dict(_CIRCUIT, grid=101, R=2000, target_fidelity=0.99)),
+    "zen-bound": (_run_zen_bound, dict(trials=200, dim=8)),
+    "markov-spectrum": (_run_markov_spectrum, dict(trials=50, max_states=33)),
+    "matchings-qsample": (_run_matchings_qsample,
+                          dict(n=2, removed_edge=[0, 0], steps=20, ratio=0.7, R=500, target_fidelity=0.99)),
+    "szk-sd": (_run_szk_sd, dict(kind="far", delta=0.01, trials=100)),
+    "szk-dlp": (_run_szk_dlp, dict(p=251, g=6, shots=4000, instances=25)),
+    "szk-qr": (_run_szk_qr, dict(shots=4000, moduli=[15, 21, 33])),
 }
 
 
+def _fits(value, default) -> bool:
+    """Whether `value` has the type of `default`; an int fits a float, a bool or a nan/inf fits nothing."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(item, default[0]) for item in value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def resolve(config) -> dict:
+    """The full config of a run: `config` checked against its command's keys, defaults filled in."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a dict, got {type(config).__name__}")
+    command, seed = config.get("command"), config.get("seed")
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+    if not _fits(seed, 0):
+        raise ConfigError(f"config must carry an integer seed, got {seed!r}")
+    resolved = {"command": command, "seed": seed, **copy.deepcopy(COMMANDS[command][1])}
+    for key, value in config.items():
+        if key not in resolved:
+            raise ConfigError(f"unknown key {key!r} for {command}; it takes {', '.join(resolved)}")
+        if not _fits(value, resolved[key]):
+            raise ConfigError(f"{key} must have the type of its default {resolved[key]!r}, got {value!r}")
+        resolved[key] = float(value) if isinstance(resolved[key], float) else value
+    if resolved.get("gate_file") and not resolved["n"]:
+        raise ConfigError("gate_file needs n, the number of qubits")
+    return resolved
+
+
 def run(config: dict) -> RunReport:
-    command = config.get("command")
-    if command not in _DISPATCH:
-        raise ValueError(f"unknown command {command!r}")
-    if not isinstance(config.get("seed"), int):
-        raise ValueError("config must carry an integer seed")
-    report = RunReport(config=dict(config))
+    report = RunReport(config=resolve(config))
     start = time.perf_counter()
-    _DISPATCH[command](config, report)
+    COMMANDS[report.config["command"]][0](report.config, report)
     report.elapsed_seconds = time.perf_counter() - start
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)  # main reports it on one line with exit code 2
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="adiagen", description="adiabatic state generation experiments")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="JSON config file; overrides flags")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--series-dir", help="directory for series data files")
-    for name, typ in [
-        ("n", int), ("D", int), ("lam", float), ("t", float), ("alpha", float),
-        ("T", float), ("eps", float), ("delta", float), ("R", int),
-        ("steps", int), ("ratio", float), ("shots", int), ("trials", int),
-        ("instances", int), ("points", int), ("p", int), ("g", int),
-        ("circuit", str), ("gate_file", str), ("x", str), ("kind", str),
-        ("target-fidelity", float),
-    ]:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, dest=name.replace("-", "_"))
+    parser = _Parser(prog="adiagen", description="adiabatic state generation experiments")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (_, defaults) in COMMANDS.items():
+        sub = subparsers.add_parser(name, argument_default=argparse.SUPPRESS)
+        sub.add_argument("--config", help="JSON config file; its keys override flags")
+        sub.add_argument("--seed", type=int, default=42)
+        sub.add_argument("--series-dir", help="directory for series data files")
+        for key, default in defaults.items():
+            many = isinstance(default, list)
+            sub.add_argument(f"--{key.replace('_', '-')}", dest=key, nargs="+" if many else None,
+                             type=type(default[0] if many else default), help=f"default: {default!r}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = {"command": args.command, "seed": args.seed}
-    for key, value in vars(args).items():
-        if key in ("command", "config", "series_dir") or value is None:
-            continue
-        config[key] = value
-    if args.config:
-        try:
-            with open(args.config) as f:
-                config.update(json.load(f))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
     try:
+        config = vars(_build_parser().parse_args(argv))
+        series_dir, path = config.pop("series_dir", None), config.pop("config", None)
+        if path:
+            with open(path) as f:
+                loaded = json.load(f)
+            if not isinstance(loaded, dict):
+                raise ConfigError(f"--config {path}: expected a JSON object, got {type(loaded).__name__}")
+            config.update(loaded)
         report = run(config)
-    except ValueError as exc:
+    except NumericalError as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.render())
-    if args.series_dir:
-        emit_series(report, args.series_dir)
+    if series_dir:
+        emit_series(report, series_dir)
     if not report.ok:
         print("failing invariants: " + ", ".join(report.failing()), file=sys.stderr)
         return 1

@@ -10,28 +10,27 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import adiabatic
-from .qcore import DenseHermitian, StateVector, ground_state, spectral_gap
+from .qcore import DenseHermitian, NumericalError, StateVector, ground_state, spectral_gap
 
 PAD_ENERGY = 3.0  # above the [0, 2] spectrum of any chain Hamiltonian
 
 
-class NotReversibleError(ValueError):
+class NotReversibleError(NumericalError, ValueError):
     pass
 
 
-class NotErgodicError(ValueError):
+class NotErgodicError(NumericalError, ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class MarkovChain:
     transition: np.ndarray
-    pi_ratio: Callable[[int, int], float] | None = None
 
     def __post_init__(self):
         M = np.asarray(self.transition, dtype=float)
@@ -165,8 +164,7 @@ def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]
     if len(seen) != N:
         raise ValueError("proposal graph is disconnected")
 
-    total = w.sum()
-    return MarkovChain(transition=P, pi_ratio=lambda i, j: w[i] / w[j] if total else 1.0)
+    return MarkovChain(transition=P)
 
 
 def variation_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -177,7 +175,6 @@ def variation_distance(p: np.ndarray, q: np.ndarray) -> float:
 class SlowVariationReport:
     distances: np.ndarray
     fidelities: np.ndarray
-    overlaps: np.ndarray
     violations: tuple[int, ...]
 
     @property
@@ -186,15 +183,14 @@ class SlowVariationReport:
 
 
 def check_slowly_varying(seq: ChainSequence) -> SlowVariationReport:
-    """Per-step variation distance, fidelity and groundstate overlap."""
+    """Per-step variation distance and fidelity (the groundstate overlap <pi_t|pi_{t+1}>)."""
     pis = [stationary(c).pi for c in seq.chains]
-    dists, fids, overlaps, violations = [], [], [], []
+    dists, fids, violations = [], [], []
     for t in range(len(pis) - 1):
         d = variation_distance(pis[t], pis[t + 1])
         f = float(np.sum(np.sqrt(pis[t] * pis[t + 1])))
         dists.append(d)
-        fids.append(f)
-        overlaps.append(f)  # <pi_t|pi_{t+1}> = fidelity of the distributions
+        fids.append(f)  # <pi_t|pi_{t+1}> = fidelity of the distributions
         if d > seq.variation_threshold:
             violations.append(t)
         if f < 1.0 - d - 1e-9:
@@ -202,7 +198,6 @@ def check_slowly_varying(seq: ChainSequence) -> SlowVariationReport:
     return SlowVariationReport(
         distances=np.array(dists),
         fidelities=np.array(fids),
-        overlaps=np.array(overlaps),
         violations=tuple(violations),
     )
 

@@ -14,7 +14,11 @@ DEGENERACY_TOL = 1e-10
 MAX_DIM = 4096
 
 
-class DegenerateGroundstateError(ValueError):
+class NumericalError(Exception):
+    """A computation failed on its numbers (degenerate spectrum, exhausted budget), not on its input's form."""
+
+
+class DegenerateGroundstateError(NumericalError, ValueError):
     """Raised when a unique groundstate is required but the gap is below tolerance."""
 
 

@@ -8,20 +8,24 @@ forward-backward product to approximate the full evolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .qcore import DenseHermitian, matrix_exponential, spectral_norm
+from .qcore import DenseHermitian, NumericalError, matrix_exponential, spectral_norm
 
 
 class InconsistentOracleError(ValueError):
     """Row oracle violates Hermitian symmetry."""
 
 
-class ColoringError(RuntimeError):
+class ColoringError(NumericalError, RuntimeError):
     """No separating modulus found for an off-diagonal entry (should be impossible)."""
+
+
+class StepBudgetError(NumericalError, RuntimeError):
+    """simulate_sparse ran out of Trotter steps before reaching the requested accuracy."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ def save_coo(H: DenseHermitian, path) -> None:
         for i in range(H.dim):
             for j in range(H.dim):
                 v = H.entries[i, j]
-                if v != 0:
+                if v != 0 or i == j == H.dim - 1:  # written even if zero: load_coo reads the dim off it
                     f.write(f"{i} {j} {float(v.real)!r} {float(v.imag)!r}\n")
 
 
@@ -147,16 +151,6 @@ class BlockPiece:
     color: EntryColor
     blocks: tuple
 
-    def touched_indices(self) -> set[int]:
-        out: set[int] = set()
-        for b in self.blocks:
-            if isinstance(b, Diagonal):
-                out.add(b.i)
-            else:
-                out.add(b.i)
-                out.add(b.j)
-        return out
-
     def norm(self) -> float:
         return max((abs(b.value) for b in self.blocks), default=0.0)
 
@@ -172,10 +166,10 @@ class BlockPiece:
 
 
 def _separating_modulus(i: int, j: int, n: int) -> int:
-    for k in range(2, n * n + 1):
+    for k in range(2, max(2, n * n) + 1):  # n = 1 still needs k = 2
         if i % k != j % k:
             return k
-    raise ColoringError(f"no separating modulus in [2..{n * n}] for ({i}, {j})")
+    raise ColoringError(f"no separating modulus in [2..{max(2, n * n)}] for ({i}, {j})")
 
 
 def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
@@ -203,6 +197,9 @@ def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
 def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
     """Exact split of H into 2x2 combinatorially block-diagonal pieces."""
     N = H.dim
+    # Explicit zeros are dropped once here, so they change neither the pieces nor their colors.
+    rows = [[(j, v) for j, v in H.oracle.row(i) if v != 0] for i in range(N)]
+    H = replace(H, oracle=RowOracle(n=H.n, row_fn=lambda i, _rows=rows: _rows[i]))
     dense = H.materialize()  # also validates oracle symmetry
     groups: dict[EntryColor, list] = {}
     for i in range(N):
@@ -288,6 +285,8 @@ def simulate_sparse(H: SparseHamiltonian, t: float, alpha: float,
     N = H.dim
     if t == 0:
         return np.eye(N, dtype=complex)
+    if t < 0:  # e^{+i|t|H} is the adjoint of e^{-i|t|H}, and so is its approximation
+        return simulate_sparse(H, -t, alpha, max_steps).conj().T
     pieces = decompose(H)
     M = max(len(pieces), 1)
     lam = max(H.lam, 1e-12)
@@ -300,4 +299,4 @@ def simulate_sparse(H: SparseHamiltonian, t: float, alpha: float,
         if spectral_norm(U - exact) <= alpha:
             return U
         steps *= 2
-    raise RuntimeError(f"step budget {max_steps} exhausted before reaching accuracy {alpha}")
+    raise StepBudgetError(f"step budget {max_steps} exhausted before reaching accuracy {alpha}")

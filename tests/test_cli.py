@@ -4,6 +4,7 @@ import json
 import pytest
 
 from adiagen import cli
+from adiagen.qcore import DegenerateGroundstateError
 
 
 class TestSeeding:
@@ -14,6 +15,11 @@ class TestSeeding:
 
     def test_config_hash_order_independent(self):
         assert cli.config_hash({"a": 1, "b": 2}) == cli.config_hash({"b": 2, "a": 1})
+
+    def test_config_hash_counts_defaults(self):
+        short = cli.run({"command": "gap-formula", "seed": 1})
+        spelled = cli.run({"command": "gap-formula", "seed": 1, "trials": 100})
+        assert cli.config_hash(short.config) == cli.config_hash(spelled.config)
 
 
 class TestRun:
@@ -116,3 +122,37 @@ class TestMain:
                        "--points", "3", "--series-dir", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "delta_sweep.dat").exists()
+
+
+def _degenerate(*_args):
+    raise DegenerateGroundstateError("groundstate degenerate: gap 0.000e+00")
+
+
+# name -> (argv, JSON written to cfg.json and passed as --config, patch, exit code, text stderr names)
+REJECTED = {
+    "typo-key": (["zeno-run"], {"R_sweeep": [50]}, None, 2, "R_sweeep"),
+    "other-commands-flags": (["gap-formula", "--alpha", "5", "--kind", "bogus"], None, None, 2, "--alpha"),
+    "nan": (["adiabatic-run", "--eps", "nan"], None, None, 2, "eps"),
+    "inf": (["adiabatic-run", "--eps", "inf"], None, None, 2, "eps"),
+    "gate-file-without-n": (["compile-circuit", "--gate-file", "gates.txt"], None, None, 2, "gate_file"),
+    "missing-gate-file": (["compile-circuit", "--gate-file", "missing.txt", "--n", "2"], None, None, 2,
+                          "missing.txt"),
+    "wrong-type": (["gap-formula"], {"trials": "ten"}, None, 2, "trials"),
+    "list-config": (["gap-formula"], [1, 2], None, 2, "--config"),
+    "zen-bound-dim-1": (["zen-bound"], {"dim": 1}, None, 2, "dim"),
+    "numerical-error": (["gap-formula"], None, ("spectral_gap", _degenerate), 3, "DegenerateGroundstateError"),
+}
+
+
+@pytest.mark.parametrize("argv, config, patch, code, named", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_run_exits_with_one_line(argv, config, patch, code, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gates.txt").write_text("H 0\n")
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    if patch:
+        monkeypatch.setattr(cli, *patch)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and named in err and "Traceback" not in err

@@ -123,10 +123,6 @@ class TestMetropolis:
         M = markov.metropolis_chain(w, nb)
         assert np.allclose(markov.stationary(M).pi, np.array(w) / sum(w), atol=1e-9)
 
-    def test_pi_ratio_oracle(self):
-        M = markov.metropolis_chain([1.0, 4.0], [[1], [0]])
-        assert M.pi_ratio(1, 0) == pytest.approx(4.0)
-
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             markov.metropolis_chain([1.0, 1.0], [[], []])
@@ -137,7 +133,7 @@ class TestSlowVariation:
         seq = markov.ChainSequence(chains=(TWO_STATE, TWO_STATE, TWO_STATE))
         rep = markov.check_slowly_varying(seq)
         assert np.allclose(rep.distances, 0.0)
-        assert np.allclose(rep.overlaps, 1.0)
+        assert np.allclose(rep.fidelities, 1.0)
         assert rep.ok
 
     def test_fidelity_lower_bound(self):

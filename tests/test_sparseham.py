@@ -1,8 +1,12 @@
 """Coloring decomposition and symmetric product-formula simulation."""
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiagen.qcore import (
     DenseHermitian,
@@ -29,6 +33,11 @@ from adiagen.sparseham import (
     trotter_step,
     trotter_unitary,
 )
+
+
+# Random row-sparse instances of 1 to 3 qubits: (n, D, seed), D clamped to the dimension.
+instances = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1)).map(
+    lambda nds: random_sparse_hermitian(nds[0], min(nds[1], 1 << nds[0]), 1.0, nds[2]))
 
 
 def explicit_4x4():
@@ -195,6 +204,32 @@ class TestSimulateSparse:
         U = simulate_sparse(sh, 1.0, 1e-3)
         assert spectral_norm(U - matrix_exponential(H, 1.0).entries) <= 1e-3
 
+    def test_one_qubit_pauli_x(self):
+        X = DenseHermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        U = simulate_sparse(sparse_from_dense(X), 1.0, 1e-3)
+        assert spectral_norm(U - matrix_exponential(X, 1.0).entries) <= 1e-3
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances, st.floats(0.1, 2.0))
+    def test_negative_time_is_the_inverse_evolution(self, H, t):
+        U = simulate_sparse(sparse_from_dense(H), -t, 1e-3)
+        assert spectral_norm(U - matrix_exponential(H, -t).entries) <= 1e-3
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances, st.floats(0.1, 2.0), st.integers(0, 2**32 - 1))
+    def test_explicit_zeros_have_no_effect(self, H, t, seed):
+        rng = np.random.default_rng(seed)
+        m, N = H.entries, H.dim
+        rows = [[(j, complex(m[i, j])) for j in range(N) if m[i, j] != 0 or rng.random() < 0.5]
+                for i in range(N)]
+        with_zeros = SparseHamiltonian(RowOracle(n=N.bit_length() - 1, row_fn=lambda i: rows[i]),
+                                       D=N, lam=1.0)
+        plain = sparse_from_dense(H, D=N, lam=1.0)
+        assert decompose(with_zeros) == decompose(plain)
+        U = simulate_sparse(with_zeros, t, 1e-3)
+        assert np.array_equal(U, simulate_sparse(plain, t, 1e-3))
+        assert spectral_norm(U - matrix_exponential(H, t).entries) <= 1e-3
+
 
 class TestCooRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -203,6 +238,14 @@ class TestCooRoundTrip:
         save_coo(H, path)
         H2 = load_coo(path)
         assert np.allclose(H.entries, H2.entries, atol=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(instances)
+    def test_load_inverts_save(self, H):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "h.coo"
+            save_coo(H, path)
+            assert np.array_equal(load_coo(path).entries, H.entries)
 
     def test_rejects_asymmetric_file(self, tmp_path):
         path = tmp_path / "bad.coo"
