@@ -106,6 +106,12 @@ def emit_series(report: RunReport, directory) -> list[str]:
 # Experiments
 
 
+def _require(cfg: dict, key: str, ok: bool, allowed: str) -> None:
+    """Reject a value of `key` that its command cannot run with."""
+    if not ok:
+        raise ConfigError(f"{key} must be {allowed}, got {cfg[key]!r}")
+
+
 def _run_decompose_check(cfg: dict, report: RunReport) -> None:
     rng = sub_rng(cfg["seed"], "decompose-instances")
     worst_norm_excess = 0.0
@@ -130,6 +136,8 @@ def _run_decompose_check(cfg: dict, report: RunReport) -> None:
 
 def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
     n, D, lam, t = cfg["n"], cfg["D"], cfg["lam"], cfg["t"]
+    _require(cfg, "start_steps", cfg["start_steps"] >= 1, ">= 1")
+    _require(cfg, "points", cfg["points"] >= 2, ">= 2 to fit a slope")
     H = random_sparse_hermitian(n, D, lam, subseed(cfg["seed"], "trotter-instance"))
     sh = sparseham.sparse_from_dense(H, D=None, lam=lam)
     pieces = sparseham.decompose(sh)
@@ -211,12 +219,12 @@ def _load_circuit(cfg: dict) -> tuple[adiabatic.GateSequence, str]:
     if cfg["gate_file"]:
         with open(cfg["gate_file"]) as f:
             return adiabatic.parse_gate_lines(cfg["n"], f.read()), cfg["x"]
-    if cfg["circuit"] not in _BUILTIN_CIRCUITS:
-        raise ConfigError(f"circuit must be one of {', '.join(_BUILTIN_CIRCUITS)}, got {cfg['circuit']!r}")
+    _require(cfg, "circuit", cfg["circuit"] in _BUILTIN_CIRCUITS, f"one of {', '.join(_BUILTIN_CIRCUITS)}")
     return _BUILTIN_CIRCUITS[cfg["circuit"]], cfg["x"]
 
 
 def _run_zeno_run(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "shots", cfg["shots"] >= 1, ">= 1")
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
     _, psi0 = ground_state(path.evaluate(0.0))
@@ -232,6 +240,7 @@ def _run_zeno_run(cfg: dict, report: RunReport) -> None:
 
 
 def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "delta", cfg["delta"] > 0, "positive")
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
     eps = cfg["eps"]
@@ -303,7 +312,9 @@ def _random_reversible_chain(N: int, rng: np.random.Generator) -> markov.MarkovC
 
 def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     n = cfg["n"]
-    target = {(u, v) for u in range(n) for v in range(n)} - {tuple(cfg["removed_edge"])}
+    edge = cfg["removed_edge"]
+    _require(cfg, "removed_edge", len(edge) == 2 and all(0 <= v < n for v in edge), f"two vertices in [0, {n})")
+    target = {(u, v) for u in range(n) for v in range(n)} - {tuple(edge)}
     seed_state, space = markov.matchings_seed_qsample(n)
     _, _, p_perfect = markov.project_perfect(seed_state, space)
     seq, space_t = markov.anneal_weights_sequence(n, target, cfg["steps"], cfg["ratio"])
@@ -327,6 +338,8 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
 
 
 def _run_szk_sd(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "kind", cfg["kind"] in ("far", "close"), "far or close")
+    _require(cfg, "delta", 0 < cfg["delta"] < 1, "in (0, 1)")
     n = 3
     if cfg["kind"] == "far":
         C0 = szk.circuit_from_table(n, 3, [x % 2 for x in range(8)])

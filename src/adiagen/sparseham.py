@@ -79,8 +79,8 @@ def sparse_from_dense(H: DenseHermitian, D: int | None = None, lam: float | None
         raise ValueError("dimension must be a power of two")
     rows = []
     for i in range(N):
-        nz = [(j, complex(m[i, j])) for j in range(N) if m[i, j] != 0]
-        rows.append(nz)
+        nz = np.flatnonzero(m[i])
+        rows.append(list(zip(nz.tolist(), m[i, nz].tolist())))
     actual_d = max((len(r) for r in rows), default=0)
     return SparseHamiltonian(
         oracle=RowOracle(n=n, row_fn=lambda i, _rows=rows: _rows[i]),
@@ -131,37 +131,26 @@ class EntryColor:
     cindex: int
 
 
-@dataclass(frozen=True)
-class Diagonal:
-    i: int
-    value: float
-
-
-@dataclass(frozen=True)
-class OffDiagonal:
-    """Represents the 2x2 block [[0, v], [v*, 0]] on rows/columns {i, j}, i < j."""
-
-    i: int
-    j: int
-    value: complex
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockPiece:
+    """Disjoint blocks of one color, one block per position of the index arrays.
+
+    With color.k == 1 the blocks are 1x1, H[i, i] = values with i == j;
+    otherwise each is the 2x2 block [[0, v], [v*, 0]] on rows/columns {i, j}, i < j.
+    """
+
     color: EntryColor
-    blocks: tuple
+    i: np.ndarray
+    j: np.ndarray
+    values: np.ndarray
 
     def norm(self) -> float:
-        return max((abs(b.value) for b in self.blocks), default=0.0)
+        return float(np.max(np.abs(self.values), initial=0.0))
 
     def materialize(self, N: int) -> DenseHermitian:
         m = np.zeros((N, N), dtype=complex)
-        for b in self.blocks:
-            if isinstance(b, Diagonal):
-                m[b.i, b.i] = b.value
-            else:
-                m[b.i, b.j] = b.value
-                m[b.j, b.i] = np.conjugate(b.value)
+        m[self.j, self.i] = np.conjugate(self.values)
+        m[self.i, self.j] = self.values
         return DenseHermitian(m)
 
 
@@ -204,26 +193,18 @@ def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
     groups: dict[EntryColor, list] = {}
     for i in range(N):
         for j, v in H.oracle.row(i):
-            if j < i:
-                continue  # upper triangle including diagonal; mirror comes for free
-            color = color_entry(H, i, j)
-            if i == j:
-                block = Diagonal(i=i, value=float(np.real(v)))
-            else:
-                block = OffDiagonal(i=i, j=j, value=complex(v))
-            groups.setdefault(color, []).append(block)
+            if j >= i:  # upper triangle including diagonal; mirror comes for free
+                groups.setdefault(color_entry(H, i, j), []).append((i, j, v))
 
     pieces = []
-    for color, blocks in sorted(groups.items(), key=lambda kv: (
+    for color, entries in sorted(groups.items(), key=lambda kv: (
             kv[0].k, kv[0].i_mod_k, kv[0].j_mod_k, kv[0].rindex, kv[0].cindex)):
-        piece = BlockPiece(color=color, blocks=tuple(blocks))
-        seen: set[int] = set()
-        for b in piece.blocks:
-            idx = {b.i} if isinstance(b, Diagonal) else {b.i, b.j}
-            if seen & idx:
-                raise ColoringError(f"blocks of color {color} share indices {seen & idx}")
-            seen |= idx
-        pieces.append(piece)
+        i, j, v = zip(*entries)
+        touched = i if color.k == 1 else i + j
+        if len(set(touched)) < len(touched):
+            raise ColoringError(f"blocks of color {color} share indices")
+        values = np.real(v) if color.k == 1 else np.array(v, dtype=complex)
+        pieces.append(BlockPiece(color=color, i=np.array(i), j=np.array(j), values=values))
 
     total = sum((p.materialize(N).entries for p in pieces), np.zeros((N, N), dtype=complex))
     if not np.array_equal(total, dense.entries):
@@ -234,20 +215,21 @@ def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
 def piece_exponential(piece: BlockPiece, t: float, state: np.ndarray) -> np.ndarray:
     """Apply e^{-i t piece} to a vector or to the columns of a matrix.
 
-    Diagonal(i, v) contributes phase e^{-itv} on |i>; OffDiagonal(i, j, v)
+    A 1x1 block (i, v) contributes phase e^{-itv} on |i>; a 2x2 block (i, j, v)
     rotates within span{|i>, |j>}; identity elsewhere.
     """
     out = np.array(state, dtype=complex)
-    for b in piece.blocks:
-        if isinstance(b, Diagonal):
-            out[b.i] = np.exp(-1j * t * b.value) * out[b.i]
-        else:
-            a = abs(b.value)
-            c, s = math.cos(a * t), math.sin(a * t)
-            phase = b.value / a
-            xi, xj = out[b.i].copy(), out[b.j].copy()
-            out[b.i] = c * xi - 1j * phase * s * xj
-            out[b.j] = -1j * np.conjugate(phase) * s * xi + c * xj
+    i, j = piece.i, piece.j
+    v = piece.values.reshape(piece.values.shape + (1,) * (out.ndim - 1))  # broadcast over a matrix's columns
+    if piece.color.k == 1:
+        out[i] *= np.exp(-1j * t * v)
+        return out
+    a = np.abs(v)
+    c, s = np.cos(a * t), np.sin(a * t)
+    phase = v / a
+    xi, xj = out[i], out[j]  # copies, so xi outlives the write to out[i]
+    out[i] = c * xi - 1j * phase * s * xj
+    out[j] = -1j * np.conjugate(phase) * s * xi + c * xj
     return out
 
 
@@ -264,11 +246,8 @@ def trotter_step(pieces: list[BlockPiece], delta: float, state: np.ndarray) -> n
 
 
 def trotter_unitary(pieces: list[BlockPiece], delta: float, steps: int, N: int) -> np.ndarray:
-    """Dense matrix of (U_delta)^steps, built by acting on the identity columns."""
-    U = np.eye(N, dtype=complex)
-    for _ in range(steps):
-        U = trotter_step(pieces, delta, U)
-    return U
+    """Dense matrix of (U_delta)^steps: one Trotter step on the identity columns, raised by repeated squaring."""
+    return np.linalg.matrix_power(trotter_step(pieces, delta, np.eye(N, dtype=complex)), steps)
 
 
 def simulate_sparse(H: SparseHamiltonian, t: float, alpha: float,

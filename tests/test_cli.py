@@ -141,6 +141,15 @@ REJECTED = {
     "list-config": (["gap-formula"], [1, 2], None, 2, "--config"),
     "zen-bound-dim-1": (["zen-bound"], {"dim": 1}, None, 2, "dim"),
     "numerical-error": (["gap-formula"], None, ("spectral_gap", _degenerate), 3, "DegenerateGroundstateError"),
+    "szk-sd-unknown-kind": (["szk-sd", "--kind", "bogus"], None, None, 2, "kind"),
+    "szk-sd-delta-0": (["szk-sd", "--delta", "0"], None, None, 2, "delta"),
+    "trotter-start-steps-0": (["trotter-sweep", "--start-steps", "0"], None, None, 2, "start_steps"),
+    "trotter-points-0": (["trotter-sweep", "--points", "0"], None, None, 2, "points"),
+    "trotter-points-1": (["trotter-sweep", "--points", "1"], None, None, 2, "points"),
+    "zeno-shots-0": (["zeno-run", "--shots", "0"], None, None, 2, "shots"),
+    "adiabatic-delta-0": (["adiabatic-run", "--delta", "0"], None, None, 2, "delta"),
+    "removed-edge-one-vertex": (["matchings-qsample", "--removed-edge", "0"], None, None, 2, "removed_edge"),
+    "removed-edge-outside": (["matchings-qsample", "--removed-edge", "9", "9"], None, None, 2, "removed_edge"),
 }
 
 

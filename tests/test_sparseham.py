@@ -17,10 +17,8 @@ from adiagen.qcore import (
 from adiagen.sparseham import (
     BlockPiece,
     ColoringError,
-    Diagonal,
     EntryColor,
     InconsistentOracleError,
-    OffDiagonal,
     RowOracle,
     SparseHamiltonian,
     color_entry,
@@ -79,7 +77,7 @@ class TestDecompose:
         pieces = decompose(H)
         for p in pieces:
             assert p.color.k == 1
-            assert all(isinstance(b, Diagonal) for b in p.blocks)
+            assert np.array_equal(p.i, p.j)
 
     def test_exact_reconstruction_4x4(self):
         H = explicit_4x4()
@@ -90,9 +88,7 @@ class TestDecompose:
     def test_block_disjointness(self):
         H = sparse_from_dense(random_sparse_hermitian(3, 4, 1.0, seed=5))
         for p in decompose(H):
-            touched = []
-            for b in p.blocks:
-                touched += [b.i] if isinstance(b, Diagonal) else [b.i, b.j]
+            touched = p.i.tolist() if p.color.k == 1 else p.i.tolist() + p.j.tolist()
             assert len(touched) == len(set(touched))
 
     def test_norm_domination(self):
@@ -118,25 +114,29 @@ class TestDecompose:
 
 class TestPieceExponential:
     def test_empty_piece_is_identity(self):
-        p = BlockPiece(color=EntryColor(1, 0, 0, 1, 1), blocks=())
+        none = np.array([], dtype=int)
+        p = BlockPiece(color=EntryColor(1, 0, 0, 1, 1), i=none, j=none, values=np.array([]))
         v = np.array([0.6, 0.8], dtype=complex)
         assert np.array_equal(piece_exponential(p, 1.7, v), v)
 
     def test_diagonal_phase(self):
-        p = BlockPiece(color=EntryColor(1, 0, 0, 1, 1), blocks=(Diagonal(0, math.pi),))
+        p = BlockPiece(color=EntryColor(1, 0, 0, 1, 1), i=np.array([0]), j=np.array([0]),
+                       values=np.array([math.pi]))
         v = piece_exponential(p, 1.0, np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
         assert v[0] == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
         assert v[1] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_off_diagonal_quarter_turn(self):
-        p = BlockPiece(color=EntryColor(2, 0, 1, 1, 1), blocks=(OffDiagonal(0, 1, 1.0),))
+        p = BlockPiece(color=EntryColor(2, 0, 1, 1, 1), i=np.array([0]), j=np.array([1]),
+                       values=np.array([1.0 + 0j]))
         v = piece_exponential(p, math.pi / 2, np.array([1.0, 0.0], dtype=complex))
         assert np.allclose(v, [0.0, -1j], atol=1e-12)
 
     def test_matches_2x2_eigendecomposition(self):
         # Oracle: exponentiate the dense 2x2 block directly.
         val = 0.3 - 0.4j
-        p = BlockPiece(color=EntryColor(2, 0, 1, 1, 1), blocks=(OffDiagonal(0, 1, val),))
+        p = BlockPiece(color=EntryColor(2, 0, 1, 1, 1), i=np.array([0]), j=np.array([1]),
+                       values=np.array([val]))
         t = 0.9
         block = np.array([[0, val], [np.conjugate(val), 0]])
         vals, vecs = np.linalg.eigh(block)
@@ -145,13 +145,16 @@ class TestPieceExponential:
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         assert np.allclose(piece_exponential(p, t, v), expU @ v, atol=1e-12)
 
-    def test_matches_matrix_exponential(self):
-        H = random_sparse_hermitian(3, 3, 1.0, seed=9)
-        pieces = decompose(sparse_from_dense(H))
-        for p in pieces[:4]:
-            exact = matrix_exponential(p.materialize(8), 0.6).entries
-            got = piece_exponential(p, 0.6, np.eye(8, dtype=complex))
-            assert np.max(np.abs(got - exact)) < 1e-10
+    @settings(max_examples=25, deadline=None)
+    @given(instances, st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_matches_matrix_exponential(self, H, t, seed):
+        N = H.dim
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=N) + 1j * rng.normal(size=N)
+        for p in decompose(sparse_from_dense(H)):
+            exact = matrix_exponential(p.materialize(N), t).entries
+            assert np.max(np.abs(piece_exponential(p, t, v) - exact @ v)) < 1e-12
+            assert np.max(np.abs(piece_exponential(p, t, np.eye(N, dtype=complex)) - exact)) < 1e-12
 
 
 class TestTrotterStep:
@@ -182,6 +185,14 @@ class TestTrotterStep:
             errors.append(spectral_norm(got - matrix_exponential(H, 2 * d).entries))
         slopes = np.diff(np.log(errors)) / np.diff(np.log(deltas))
         assert np.all(slopes > 2.5)
+
+    @pytest.mark.parametrize("steps", [1, 2, 5, 8])
+    def test_unitary_is_repeated_steps(self, steps):
+        pieces = decompose(sparse_from_dense(random_sparse_hermitian(3, 4, 1.0, seed=8)))
+        U = np.eye(8, dtype=complex)
+        for _ in range(steps):
+            U = trotter_step(pieces, 0.05, U)
+        assert np.max(np.abs(trotter_unitary(pieces, 0.05, steps, 8) - U)) < 1e-12
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
@@ -225,7 +236,11 @@ class TestSimulateSparse:
         with_zeros = SparseHamiltonian(RowOracle(n=N.bit_length() - 1, row_fn=lambda i: rows[i]),
                                        D=N, lam=1.0)
         plain = sparse_from_dense(H, D=N, lam=1.0)
-        assert decompose(with_zeros) == decompose(plain)
+        got, want = decompose(with_zeros), decompose(plain)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert p.color == q.color
+            assert all(np.array_equal(a, b) for a, b in ((p.i, q.i), (p.j, q.j), (p.values, q.values)))
         U = simulate_sparse(with_zeros, t, 1e-3)
         assert np.array_equal(U, simulate_sparse(plain, t, 1e-3))
         assert spectral_norm(U - matrix_exponential(H, t).entries) <= 1e-3
