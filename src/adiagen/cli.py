@@ -113,6 +113,7 @@ def _require(cfg: dict, key: str, ok: bool, allowed: str) -> None:
 
 
 def _run_decompose_check(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "instances", cfg["instances"] >= 1, ">= 1")
     rng = sub_rng(cfg["seed"], "decompose-instances")
     worst_norm_excess = 0.0
     max_count_ratio = 0.0
@@ -162,10 +163,11 @@ def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
 
 
 def _run_gap_formula(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "trials", cfg["trials"] >= 1, ">= 1")
     rng = sub_rng(cfg["seed"], "gap-formula")
     dim = cfg["dim"]
     worst = 0.0
-    worst_min = 0.0
+    worst_below_overlap = 0.0  # the lemma: no gap on the segment is below |<a|b>|
     for _ in range(cfg["trials"]):
         a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -178,13 +180,14 @@ def _run_gap_formula(cfg: dict, report: RunReport) -> None:
         ov = abs(state_overlap(alpha, beta))
         want = adiabatic.two_projector_gap_formula(ov, eta)
         worst = max(worst, abs(got - want))
-        worst_min = max(worst_min, abs(adiabatic.segment_min_gap(alpha, beta) - ov))
+        worst_below_overlap = max(worst_below_overlap, ov - got)
     report.scalars["worst_formula_deviation"] = worst
     report.flags["formula_exact"] = worst <= 1e-9
-    report.flags["minimum_at_half"] = worst_min <= 1e-9
+    report.flags["minimum_at_half"] = worst_below_overlap <= 1e-9
 
 
 def _run_zen_bound(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "trials", cfg["trials"] >= 1, ">= 1")
     rng = sub_rng(cfg["seed"], "zen-bound")
     dim = cfg["dim"]
     violations = 0
@@ -227,7 +230,7 @@ def _run_zeno_run(cfg: dict, report: RunReport) -> None:
     _require(cfg, "shots", cfg["shots"] >= 1, ">= 1")
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
-    _, psi0 = ground_state(path.evaluate(0.0))
+    psi0 = path.ground_state(0.0)
     rng = sub_rng(cfg["seed"], "zeno-mc")
     rows = []
     for R in cfg["R_sweep"]:
@@ -247,7 +250,7 @@ def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
     cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1.0, eps=eps))
     T = cfg["T"] or max(1.0, cond.max_ratio / eps)
     rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=eps), cfg["delta"],
-                                       ground_state(path.evaluate(0.0))[1])
+                                       path.ground_state(0.0))
     report.scalars["T"] = T
     report.scalars["max_condition_ratio"] = cond.max_ratio
     report.scalars["final_fidelity_sq"] = rep.success_probability
@@ -256,12 +259,13 @@ def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
 
 
 def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "grid", cfg["grid"] >= 1, ">= 1")
     gates, x = _load_circuit(cfg)
     doubled = adiabatic.expand_sqrt(gates)
     states = adiabatic.circuit_states(doubled, x)
     overlaps = [abs(state_overlap(a, b)) for a, b in zip(states, states[1:])]
     path = adiabatic.jagged_path(states)
-    gaps = [spectral_gap(path.evaluate(s)) for s in np.linspace(0, 1, cfg["grid"])]
+    gaps = [path.gap(s) for s in np.linspace(0, 1, cfg["grid"])]
     rep = adiabatic.zeno_evolve(path, cfg["R"], states[0])
     target = adiabatic.simulate_circuit(gates, x)
     fid = abs(state_overlap(rep.final_state, target))
@@ -275,6 +279,8 @@ def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
 
 
 def _run_markov_spectrum(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "trials", cfg["trials"] >= 1, ">= 1")
+    _require(cfg, "max_states", cfg["max_states"] >= 3, ">= 3")
     rng = sub_rng(cfg["seed"], "markov-spectrum")
     worst_spec = worst_ground = 0.0
     for _ in range(cfg["trials"]):
@@ -340,6 +346,7 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
 def _run_szk_sd(cfg: dict, report: RunReport) -> None:
     _require(cfg, "kind", cfg["kind"] in ("far", "close"), "far or close")
     _require(cfg, "delta", 0 < cfg["delta"] < 1, "in (0, 1)")
+    _require(cfg, "trials", cfg["trials"] >= 1, ">= 1")
     n = 3
     if cfg["kind"] == "far":
         C0 = szk.circuit_from_table(n, 3, [x % 2 for x in range(8)])
@@ -359,6 +366,8 @@ def _run_szk_sd(cfg: dict, report: RunReport) -> None:
 
 
 def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "p", cfg["p"] >= 8, ">= 8, so that floor(log2 p) >= 3")
+    _require(cfg, "instances", cfg["instances"] >= 1, ">= 1")
     p, g = cfg["p"], cfg["g"]
     rng = sub_rng(cfg["seed"], "szk-dlp")
     c = 1 / 6
@@ -379,6 +388,7 @@ def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
 
 
 def _run_szk_qr(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "moduli", min(cfg["moduli"], default=0) >= 2, "a non-empty list of integers >= 2")
     rng = sub_rng(cfg["seed"], "szk-qr")
     mismatches = 0
     total = 0

@@ -219,7 +219,7 @@ def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
         return adiabatic.EvolutionReport(
             final_state=seed, success_probability=1.0,
             per_step_overlaps=np.ones(1), steps=0)
-    path = adiabatic.jagged_path(targets, label="qsample")
+    path = adiabatic.jagged_path(targets)
     if mode == "zeno":
         return adiabatic.zeno_evolve(path, R, targets[0], rng=rng)
     if mode == "schrodinger":

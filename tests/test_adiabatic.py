@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiagen import adiabatic
 from adiagen.qcore import (
@@ -32,20 +34,6 @@ def state_pair_with_overlap(overlap, dim=2):
     return StateVector(a), StateVector(b)
 
 
-class TestLinearPath:
-    def test_endpoints(self):
-        H0 = DenseHermitian(np.diag([0.0, 1.0]))
-        H1 = DenseHermitian(np.diag([0.0, 2.0]))
-        path = adiabatic.linear_path(H0, H1)
-        assert np.array_equal(path.evaluate(0.0).entries, H0.entries)
-        assert np.array_equal(path.evaluate(1.0).entries, H1.entries)
-
-    def test_constant_when_equal(self):
-        H = DenseHermitian(np.diag([0.0, 1.0]))
-        path = adiabatic.linear_path(H, H)
-        assert np.allclose(path.evaluate(0.4).entries, H.entries)
-
-
 class TestGapFormula:
     def test_identical_states(self):
         assert adiabatic.two_projector_gap_formula(1.0, 0.5) == pytest.approx(1.0)
@@ -72,8 +60,6 @@ class TestGapFormula:
             assert spectral_gap(H) == pytest.approx(want, abs=1e-10)
 
     def test_segment_min_gap_is_overlap(self):
-        a, b = state_pair_with_overlap(0.63)
-        assert adiabatic.segment_min_gap(a, b) == pytest.approx(0.63)
         etas = np.linspace(0.01, 0.99, 99)
         gaps = [adiabatic.two_projector_gap_formula(0.63, e) for e in etas]
         assert min(gaps) == pytest.approx(0.63, abs=1e-12)
@@ -105,10 +91,48 @@ class TestJaggedPath:
             adiabatic.jagged_path([StateVector.basis(2, 0), StateVector.basis(2, 1)])
 
 
+@st.composite
+def jagged_instances(draw):
+    """(states, s, t, psi): N in 2..16, L in 1..5, some states a phase times the one before."""
+    N, L = draw(st.integers(2, 16)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = [random_state(N, rng)]
+    for coincident in draw(st.lists(st.booleans(), min_size=L - 1, max_size=L - 1)):
+        if coincident:
+            phase = np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+            states.append(StateVector.from_amplitudes(phase * states[-1].amplitudes, normalize=True))
+        else:
+            states.append(random_state(N, rng))
+    s = draw(st.one_of(st.sampled_from([j / max(L - 1, 1) for j in range(L)] + [0.0, 1.0]),
+                       st.floats(0.0, 1.0)))
+    return states, s, draw(st.floats(-3.0, 3.0)), random_state(N, rng).amplitudes
+
+
+class TestPathClosedForms:
+    """Every O(N) path method against the dense H(s) = path.evaluate(s)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(jagged_instances())
+    def test_matches_dense_oracle(self, instance):
+        states, s, t, psi = instance
+        path = adiabatic.jagged_path(states)
+        H = path.evaluate(s)
+        assert abs(state_overlap(path.ground_state(s), ground_state(H)[1])) >= 1 - 1e-10
+        assert abs(path.gap(s) - spectral_gap(H)) <= 1e-10
+        assert np.max(np.abs(path.evolve(s, t, psi) - matrix_exponential(H, t).entries @ psi)) <= 1e-10
+        L = len(states)
+        if L == 1:
+            want = 0.0
+        else:
+            j = min(int(s * (L - 1)), L - 2)
+            want = (L - 1) * spectral_norm(adiabatic.projector_hamiltonian(states[j + 1]).entries
+                                           - adiabatic.projector_hamiltonian(states[j]).entries)
+        assert abs(path.derivative_norm(s) - want) <= 1e-10
+
+
 class TestAdiabaticCondition:
     def test_constant_path(self):
-        H = DenseHermitian(np.diag([0.0, 1.0]))
-        path = adiabatic.HamiltonianPath(evaluate=lambda s: H)
+        path = adiabatic.jagged_path([StateVector.basis(2, 0)])
         rep = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=0.1, eps=0.01))
         assert rep.max_derivative_norm == pytest.approx(0.0, abs=1e-9)
         assert rep.holds
@@ -117,7 +141,7 @@ class TestAdiabaticCondition:
         a, b = state_pair_with_overlap(0.9)
         H0 = adiabatic.projector_hamiltonian(a)
         H1 = adiabatic.projector_hamiltonian(b)
-        path = adiabatic.linear_path(H0, H1)
+        path = adiabatic.jagged_path([a, b])
         rep = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=100, eps=0.1))
         assert rep.max_derivative_norm == pytest.approx(
             spectral_norm(H1.entries - H0.entries), abs=1e-6)
@@ -133,8 +157,7 @@ class TestAdiabaticCondition:
 class TestEvolveDiscretized:
     def test_constant_path_preserves_state(self):
         psi = StateVector.basis(2, 0)
-        H = adiabatic.projector_hamiltonian(psi)
-        path = adiabatic.HamiltonianPath(evaluate=lambda s: H)
+        path = adiabatic.jagged_path([psi])
         rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=5, eps=0.1), 0.1, psi)
         assert rep.success_probability == pytest.approx(1.0, abs=1e-9)
 

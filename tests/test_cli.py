@@ -150,6 +150,18 @@ REJECTED = {
     "adiabatic-delta-0": (["adiabatic-run", "--delta", "0"], None, None, 2, "delta"),
     "removed-edge-one-vertex": (["matchings-qsample", "--removed-edge", "0"], None, None, 2, "removed_edge"),
     "removed-edge-outside": (["matchings-qsample", "--removed-edge", "9", "9"], None, None, 2, "removed_edge"),
+    "compile-grid-0": (["compile-circuit", "--grid", "0"], None, None, 2, "grid"),
+    "markov-max-states-2": (["markov-spectrum", "--max-states", "2"], None, None, 2, "max_states"),
+    "szk-dlp-p-4": (["szk-dlp", "--p", "4"], None, None, 2, "p must be"),
+    "szk-dlp-p-7": (["szk-dlp", "--p", "7"], None, None, 2, "p must be"),
+    "decompose-instances-0": (["decompose-check", "--instances", "0"], None, None, 2, "instances"),
+    "gap-formula-trials-0": (["gap-formula", "--trials", "0"], None, None, 2, "trials"),
+    "zen-bound-trials-0": (["zen-bound", "--trials", "0"], None, None, 2, "trials"),
+    "markov-trials-0": (["markov-spectrum", "--trials", "0"], None, None, 2, "trials"),
+    "szk-sd-trials-0": (["szk-sd", "--trials", "0"], None, None, 2, "trials"),
+    "szk-dlp-instances-0": (["szk-dlp", "--instances", "0"], None, None, 2, "instances"),
+    "szk-qr-modulus-1": (["szk-qr", "--moduli", "15", "1"], None, None, 2, "moduli"),
+    "szk-qr-no-moduli": (["szk-qr"], {"moduli": []}, None, 2, "moduli"),
 }
 
 
@@ -165,3 +177,10 @@ def test_rejected_run_exits_with_one_line(argv, config, patch, code, named, tmp_
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and named in err and "Traceback" not in err
+
+
+def test_gap_formula_minimum_flag_checks_the_dense_gaps(monkeypatch):
+    # Gaps of 0 break the lemma that every segment gap is at least |<a|b>|.
+    monkeypatch.setattr(cli, "spectral_gap", lambda H: 0.0)
+    report = cli.run({"command": "gap-formula", "seed": 1, "trials": 5})
+    assert not report.flags["minimum_at_half"]
