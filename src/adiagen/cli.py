@@ -326,8 +326,7 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     seq, space_t = markov.anneal_weights_sequence(n, target, cfg["steps"], cfg["ratio"])
     sv = markov.check_slowly_varying(seq)
     rep = markov.qsample_sequence(seq, seed_state, mode="zeno", R=cfg["R"])
-    final_pi = markov.stationary(seq.chains[-1])
-    target_state = markov.pi_state(final_pi)
+    target_state = markov.pi_state(seq.pis[-1])
     fid = abs(state_overlap(rep.final_state, target_state))
     _, post, _ = markov.project_perfect(rep.final_state, space_t)
     target_perfect = [i for i in space_t.perfect_indices()

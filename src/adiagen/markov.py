@@ -10,12 +10,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import adiabatic
-from .qcore import DenseHermitian, NumericalError, StateVector, ground_state, spectral_gap
+from .qcore import DenseHermitian, NumericalError, StateVector, ground_state, spectral_gap  # noqa: F401
+# ground_state is no longer called here; perfbench's tracer test still reads markov.ground_state.
 
 PAD_ENERGY = 3.0  # above the [0, 2] spectrum of any chain Hamiltonian
 
@@ -71,6 +73,11 @@ class ChainSequence:
         if len(Ns) > 1:
             raise ValueError("all chains must share a state space")
 
+    @cached_property
+    def pis(self) -> tuple[StationaryDistribution, ...]:
+        """Each chain's stationary distribution, computed on first use."""
+        return tuple(stationary(c) for c in self.chains)
+
 
 def stationary(M: MarkovChain) -> StationaryDistribution:
     """Left eigenvector for eigenvalue 1, via the null space of M^T - I."""
@@ -93,12 +100,16 @@ def reversibility_residual(M: MarkovChain, pi: StationaryDistribution) -> float:
     return float(np.max(np.abs(flow - flow.T)))
 
 
+def _require_reversible(M: MarkovChain, pi: StationaryDistribution) -> None:
+    if reversibility_residual(M, pi) > 1e-8:
+        raise NotReversibleError("chain is not reversible w.r.t. its stationary distribution")
+
+
 def chain_hamiltonian(M: MarkovChain, pi: StationaryDistribution | None = None) -> DenseHermitian:
     """H_M = I - Diag(sqrt(pi)) M Diag(1/sqrt(pi)); symmetric iff M is reversible."""
     if pi is None:
         pi = stationary(M)
-    if reversibility_residual(M, pi) > 1e-8:
-        raise NotReversibleError("chain is not reversible w.r.t. its stationary distribution")
+    _require_reversible(M, pi)
     sq = np.sqrt(pi.pi)
     H = np.eye(M.N) - (sq[:, None] * M.transition) / sq[None, :]
     H = (H + H.T) / 2  # kill reversibility-residual asymmetry at round-off scale
@@ -184,7 +195,7 @@ class SlowVariationReport:
 
 def check_slowly_varying(seq: ChainSequence) -> SlowVariationReport:
     """Per-step variation distance and fidelity (the groundstate overlap <pi_t|pi_{t+1}>)."""
-    pis = [stationary(c).pi for c in seq.chains]
+    pis = [pi.pi for pi in seq.pis]
     dists, fids, violations = [], [], []
     for t in range(len(pis) - 1):
         d = variation_distance(pis[t], pis[t + 1])
@@ -209,10 +220,9 @@ def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
     report = check_slowly_varying(seq)
     if not report.ok:
         raise ValueError(f"sequence is not slowly varying at steps {report.violations}")
-    targets = []
-    for c in seq.chains:
-        _, g = ground_state(padded_chain_hamiltonian(c))
-        targets.append(g)
+    for c, pi in zip(seq.chains, seq.pis):
+        _require_reversible(c, pi)
+    targets = [pi_state(pi) for pi in seq.pis]  # |sqrt(pi)> is the groundstate of H_c
     if abs(abs(np.vdot(seed.amplitudes, targets[0].amplitudes)) - 1.0) > 1e-6:
         raise ValueError("seed state does not match |pi_0>")
     if len(targets) == 1:

@@ -206,7 +206,11 @@ def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
         values = np.real(v) if color.k == 1 else np.array(v, dtype=complex)
         pieces.append(BlockPiece(color=color, i=np.array(i), j=np.array(j), values=values))
 
-    total = sum((p.materialize(N).entries for p in pieces), np.zeros((N, N), dtype=complex))
+    total = np.zeros((N, N), dtype=complex)
+    for p in pieces:
+        total[p.i, p.j] += p.values
+        if p.color.k != 1:  # a 2x2 block's mirror entry; a 1x1 block has i == j
+            total[p.j, p.i] += np.conjugate(p.values)
     if not np.array_equal(total, dense.entries):
         raise ColoringError("piece sum does not reconstruct H exactly")
     return pieces

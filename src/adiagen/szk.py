@@ -162,13 +162,26 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _power_table(g: int, p: int) -> np.ndarray:
+    """g^k mod p for k in [0, p), by doubling: P[m:2m] = P[:m] * g^m mod p."""
+    powers = np.ones(max(p, 1), dtype=np.int64)
+    m = 1
+    while m < p:
+        k = min(m, p - m)
+        powers[m:m + k] = powers[:k] * pow(g, m, p) % p
+        m += k
+    return powers
+
+
+def _orbit_is_full(powers: np.ndarray, p: int) -> bool:
+    """Whether g^1, ..., g^(p-1) are p - 1 distinct values."""
+    seen = np.zeros(powers.size, dtype=bool)
+    seen[powers[1:]] = True
+    return np.count_nonzero(seen) == p - 1
+
+
 def is_generator(g: int, p: int) -> bool:
-    seen = set()
-    x = 1
-    for _ in range(p - 1):
-        x = x * g % p
-        seen.add(x)
-    return len(seen) == p - 1
+    return _orbit_is_full(_power_table(g, p), p)
 
 
 def discrete_log(g: int, y: int, p: int) -> int:
@@ -206,12 +219,10 @@ def semiprime_factors(nn: int) -> tuple[int, int]:
 # Discrete log promise problem
 
 
-def _uniform_support_state(support: set[int], dim: int) -> StateVector:
-    amps = np.zeros(dim, dtype=complex)
-    a = 1.0 / math.sqrt(len(support))
-    for z in support:
-        amps[z] = a
-    return StateVector.from_amplitudes(amps, normalize=True)
+def _uniform_support_state(support: np.ndarray, dim: int) -> StateVector:
+    mask = np.zeros(dim, dtype=bool)
+    mask[support] = True  # a repeated index counts once
+    return StateVector.from_amplitudes(mask / math.sqrt(np.count_nonzero(mask)), normalize=True)
 
 
 def dlp_window_sizes(p: int) -> tuple[int, int]:
@@ -229,32 +240,24 @@ def dlp_states(p: int, g: int, y: int) -> tuple[StateVector, StateVector]:
     """
     if p > 1 << 16:
         raise ValueError("modulus too large for exhaustive construction")
-    if not is_prime(p) or not is_generator(g, p):
+    powers = _power_table(g, p)  # also gives is_generator's orbit check
+    if not is_prime(p) or not _orbit_is_full(powers, p):
         raise ValueError("g must generate Z_p^*")
     t_size, tp_size = dlp_window_sizes(p)
     mid_base = pow(g, p // 2 + 1 + 1, p)  # g^(ceil(p/2)+1) for odd p
-    mid_support = set()
-    acc = mid_base
-    for _ in range(t_size):
-        mid_support.add(acc)
-        acc = acc * g % p
-    low_support = set()
-    acc = y % p
-    for _ in range(tp_size):
-        low_support.add(acc)
-        acc = acc * g % p
+    mid_support = powers[:t_size] * mid_base % p
+    low_support = powers[:tp_size] * (y % p) % p
     dim = 1 << (p - 1).bit_length()
     return _uniform_support_state(mid_support, dim), _uniform_support_state(low_support, dim)
 
 
 def dlp_min_high_overlap(p: int, g: int, c: float = 1 / 6) -> float:
-    """Worst-case overlap over the promised high window, from set arithmetic."""
+    """Worst-case overlap over the promised high window, from interval arithmetic."""
     t_size, tp_size = dlp_window_sizes(p)
     lo = p // 2 + 1 + 1
-    hi_window = range(lo, lo + t_size)
     worst = math.inf
     for x in (p // 2 + 1, p // 2 + int(c * p)):
-        inter = len(set(range(x, x + tp_size)) & set(hi_window))
+        inter = max(0, min(x + tp_size, lo + t_size) - max(x, lo))  # |[x, x+tp) & [lo, lo+t)|
         worst = min(worst, inter / math.sqrt(t_size * tp_size))
     return worst
 
@@ -284,17 +287,19 @@ def dlp_decider(p: int, g: int, y: int, shots: int, rng: np.random.Generator) ->
 
 def qr_distribution(nn: int, a: int) -> np.ndarray:
     """Output distribution of r -> r^2 a mod nn over uniform r in Z_nn."""
-    counts = np.zeros(nn, dtype=np.int64)
-    for r in range(nn):
-        counts[r * r * a % nn] += 1
-    return counts / nn
+    r = np.arange(nn, dtype=np.int64)
+    return np.bincount(r * r % nn * (a % nn) % nn, minlength=nn) / nn
+
+
+def _check_qr_modulus(nn: int) -> None:
+    if nn > 1 << 16:
+        raise ValueError("modulus too large for exhaustive construction")
+    semiprime_factors(nn)
 
 
 def qr_states(nn: int, x: int) -> tuple[StateVector, StateVector]:
     """Qsamples of C_1 and C_x for the squaring circuit modulo a semiprime."""
-    if nn > 1 << 16:
-        raise ValueError("modulus too large for exhaustive construction")
-    semiprime_factors(nn)
+    _check_qr_modulus(nn)
     if math.gcd(x, nn) != 1:
         raise ValueError("x must be a unit modulo nn")
     dim = 1 << (nn - 1).bit_length()
@@ -309,13 +314,12 @@ def qr_states(nn: int, x: int) -> tuple[StateVector, StateVector]:
 
 def qr_nonresidue_max_overlap(nn: int) -> float:
     """max over non-residue units x of <C_x|C_1>, by exhaustive enumeration."""
-    c1, _ = qr_states(nn, 1)
-    worst = 0.0
-    for x in units(nn):
-        if not is_residue(x, nn):
-            _, cx = qr_states(nn, x)
-            worst = max(worst, abs(state_overlap(c1, cx)))
-    return worst
+    _check_qr_modulus(nn)
+    amp1 = np.sqrt(qr_distribution(nn, 1))
+    z = np.arange(nn)
+    nonresidues = np.flatnonzero((np.gcd(z, nn) == 1) & (amp1 == 0))  # x is a square iff D_1[x] > 0
+    return max((float(amp1 @ np.sqrt(qr_distribution(nn, int(x)))) for x in nonresidues),
+               default=0.0)
 
 
 def qr_decider(nn: int, x: int, shots: int, rng: np.random.Generator) -> str:

@@ -182,6 +182,44 @@ class TestQsampleSequence:
         with pytest.raises(ValueError):
             markov.qsample_sequence(seq, StateVector.basis(2, 1))
 
+    def test_non_reversible_chain_rejected(self):
+        # Doubly stochastic with a drift around the cycle: pi is uniform, flows are not symmetric.
+        drift = markov.MarkovChain(np.array([[0.5, 0.4, 0.1], [0.1, 0.5, 0.4], [0.4, 0.1, 0.5]]))
+        lazy = markov.MarkovChain(np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]))
+        seq = markov.ChainSequence(chains=(lazy, drift))
+        seed = markov.pi_state(markov.stationary(lazy))
+        with pytest.raises(markov.NotReversibleError):
+            markov.qsample_sequence(seq, seed)
+
+    @pytest.mark.parametrize("n, target", [(2, {(0, 1), (1, 0), (1, 1)}),
+                                           (3, {(u, v) for u in range(3) for v in range(3)} - {(0, 0)})])
+    def test_targets_are_chain_groundstates(self, monkeypatch, n, target):
+        seq, _ = markov.anneal_weights_sequence(n, target, 6, 0.7)
+        seed, _ = markov.matchings_seed_qsample(n)
+        seen = []
+        jagged_path = markov.adiabatic.jagged_path
+        monkeypatch.setattr(markov.adiabatic, "jagged_path",
+                            lambda states: seen.append(states) or jagged_path(states))
+        markov.qsample_sequence(seq, seed, mode="zeno", R=5)
+        (targets,) = seen
+        assert len(targets) == len(seq.chains)
+        for c, got in zip(seq.chains, targets):
+            _, want = ground_state(markov.padded_chain_hamiltonian(c))
+            phase = np.vdot(got.amplitudes, want.amplitudes)
+            assert abs(abs(phase) - 1.0) <= 1e-10
+            assert np.max(np.abs(want.amplitudes - phase * got.amplitudes)) <= 1e-10
+
+    def test_stationary_once_per_chain(self, monkeypatch):
+        seq, _ = markov.anneal_weights_sequence(2, {(0, 1), (1, 0), (1, 1)}, 6, 0.7)
+        seed, _ = markov.matchings_seed_qsample(2)
+        calls = []
+        stationary = markov.stationary
+        monkeypatch.setattr(markov, "stationary", lambda c: calls.append(c) or stationary(c))
+        markov.check_slowly_varying(seq)
+        markov.qsample_sequence(seq, seed, mode="zeno", R=5)
+        assert seq.pis[-1] is seq.pis[-1]
+        assert len(calls) == len(seq.chains)
+
 
 class TestMatchingSpace:
     def test_n1_counts(self):

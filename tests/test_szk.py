@@ -250,6 +250,89 @@ class TestQR:
             szk.qr_states(15, 5)
 
 
+BENCHMARK_MODULI = [15, 21, 33, 35, 39, 51, 55, 57, 65, 69, 77, 85, 87, 91, 93, 95]
+SMALL_PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def loop_qr_distribution(nn, a):
+    counts = np.zeros(nn, dtype=np.int64)
+    for r in range(nn):
+        counts[r * r * a % nn] += 1
+    return counts / nn
+
+
+def orbit_is_generator(g, p):
+    seen = set()
+    x = 1
+    for _ in range(p - 1):
+        x = x * g % p
+        seen.add(x)
+    return len(seen) == p - 1
+
+
+def set_dlp_supports(p, g, y):
+    t_size, tp_size = szk.dlp_window_sizes(p)
+    mid, acc = set(), pow(g, p // 2 + 2, p)
+    for _ in range(t_size):
+        mid.add(acc)
+        acc = acc * g % p
+    low, acc = set(), y % p
+    for _ in range(tp_size):
+        low.add(acc)
+        acc = acc * g % p
+    return mid, low
+
+
+class TestArrayConstructionsMatchLoops:
+    """The array-based Qsamples and thresholds against the per-element loops they replace."""
+
+    @pytest.mark.parametrize("nn", BENCHMARK_MODULI)
+    def test_qr_distribution(self, nn):
+        for a in range(nn):
+            assert np.array_equal(szk.qr_distribution(nn, a), loop_qr_distribution(nn, a))
+
+    def test_is_generator(self):
+        assert len(SMALL_PRIMES) == 109
+        for p in SMALL_PRIMES:
+            got = [szk.is_generator(g, p) for g in range(2 * p)]
+            assert got == [orbit_is_generator(g, p) for g in range(2 * p)], p
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(11, 2), (13, 6), (17, 3), (251, 6), (257, 3), (4099, 2)]),
+           st.integers(-10**6, 10**6))
+    def test_dlp_supports(self, pg, y):
+        p, g = pg
+        v, w = szk.dlp_states(p, g, y)
+        mid, low = set_dlp_supports(p, g, y)
+        assert set(np.flatnonzero(v.amplitudes)) == mid
+        assert set(np.flatnonzero(w.amplitudes)) == low
+        assert np.allclose(v.amplitudes[list(mid)], 1 / math.sqrt(len(mid)), rtol=0, atol=1e-15)
+        assert np.allclose(w.amplitudes[list(low)], 1 / math.sqrt(len(low)), rtol=0, atol=1e-15)
+
+    def test_dlp_min_high_overlap(self):
+        for p in SMALL_PRIMES[4:]:  # p >= 11, so floor(log2 p) >= 3
+            t, tp = szk.dlp_window_sizes(p)
+            lo = p // 2 + 2
+            want = min(len(set(range(x, x + tp)) & set(range(lo, lo + t))) / math.sqrt(t * tp)
+                       for x in (p // 2 + 1, p // 2 + int(p / 6)))
+            assert szk.dlp_min_high_overlap(p, 2) == want
+
+    @pytest.mark.parametrize("nn", BENCHMARK_MODULI)
+    def test_qr_nonresidue_max_overlap(self, nn):
+        c1, _ = szk.qr_states(nn, 1)
+        want = 0.0
+        for x in szk.units(nn):
+            if not szk.is_residue(x, nn):
+                _, cx = szk.qr_states(nn, x)
+                want = max(want, abs(state_overlap(c1, cx)))
+        assert szk.qr_nonresidue_max_overlap(nn) == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_qr_overlap_checks_the_modulus(self):
+        for nn in (16, 45, 1 << 17):
+            with pytest.raises(ValueError):
+                szk.qr_nonresidue_max_overlap(nn)
+
+
 class TestParsing:
     def test_truth_table_round_trip(self):
         text = "# header\n00 01\n01 10\n10 11\n11 00\n"
