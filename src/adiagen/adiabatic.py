@@ -22,8 +22,8 @@ from .qcore import (
     _fix_phase,
     decompose_hermitian,
     ground_state,
+    ground_state_of,
     matrix_exponential,
-    spectral_gap,
     spectral_norm,
     state_overlap,
 )
@@ -360,11 +360,15 @@ def zeno_success_samples(step_probs: np.ndarray, shots: int,
 
 
 def groundstate_perturbation_bound(H: DenseHermitian, J: DenseHermitian) -> tuple[float, float]:
-    """Groundstate overlap |<a(H)|a(J)>| and its lower bound 1 - 4 eta^2/gap^2."""
-    _, aH = ground_state(H)
-    _, aJ = ground_state(J)
+    """Groundstate overlap |<a(H)|a(J)>| and its lower bound 1 - 4 eta^2/gap^2.
+
+    Each operator's groundstate and gap come from one eigendecomposition.
+    """
+    decH, decJ = decompose_hermitian(H), decompose_hermitian(J)
+    _, aH = ground_state_of(decH)
+    _, aJ = ground_state_of(decJ)
     eta = spectral_norm(H.entries - J.entries)
-    gap = min(spectral_gap(H), spectral_gap(J))
+    gap = min(decH.gap, decJ.gap)
     lhs = abs(state_overlap(aH, aJ))
     rhs = 1.0 - 4.0 * eta**2 / gap**2
     return lhs, rhs

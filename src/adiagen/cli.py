@@ -370,6 +370,7 @@ def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
     p, g = cfg["p"], cfg["g"]
     rng = sub_rng(cfg["seed"], "szk-dlp")
     c = 1 / 6
+    threshold = szk.dlp_threshold(p, g)
     mismatches = 0
     for _ in range(cfg["instances"]):
         if rng.random() < 0.5:
@@ -377,7 +378,7 @@ def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
         else:
             x = int(rng.integers(p // 2 + 1, p // 2 + int(c * p) + 1))
         y = pow(g, x, p)
-        got = szk.dlp_decider(p, g, y, cfg["shots"], rng)
+        got = szk.dlp_decider(p, g, y, cfg["shots"], rng, threshold)
         want = szk.dlp_promise_holds(p, g, y)
         if got != want:
             mismatches += 1
@@ -392,8 +393,9 @@ def _run_szk_qr(cfg: dict, report: RunReport) -> None:
     mismatches = 0
     total = 0
     for nn in cfg["moduli"]:
+        threshold = szk.qr_threshold(nn)
         for x in szk.units(nn):
-            got = szk.qr_decider(nn, x, cfg["shots"], rng)
+            got = szk.qr_decider(nn, x, cfg["shots"], rng, threshold)
             want = "residue" if szk.is_residue(x, nn) else "nonresidue"
             total += 1
             if got != want:

@@ -124,6 +124,13 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def gap(self) -> float:
+        """Difference between the two smallest eigenvalues."""
+        if self.dim < 2:
+            raise ValueError("spectral gap needs dim >= 2")
+        return float(self.eigenvalues[1] - self.eigenvalues[0])
+
 
 def decompose_hermitian(H: DenseHermitian) -> SpectralDecomposition:
     vals, vecs = np.linalg.eigh(H.entries)
@@ -165,12 +172,15 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 def ground_state(H: DenseHermitian, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[float, StateVector]:
     """Groundvalue and groundstate, phase-fixed; errors out on degeneracy."""
-    dec = decompose_hermitian(H)
-    if H.dim >= 2 and dec.eigenvalues[1] - dec.eigenvalues[0] < degeneracy_tol:
+    return ground_state_of(decompose_hermitian(H), degeneracy_tol)
+
+
+def ground_state_of(dec: SpectralDecomposition,
+                    degeneracy_tol: float = DEGENERACY_TOL) -> tuple[float, StateVector]:
+    """`ground_state` read off an eigendecomposition already made."""
+    if dec.dim >= 2 and dec.gap < degeneracy_tol:
         raise DegenerateGroundstateError(
-            f"groundstate degenerate: gap {dec.eigenvalues[1] - dec.eigenvalues[0]:.3e} "
-            f"< tol {degeneracy_tol:.3e}"
-        )
+            f"groundstate degenerate: gap {dec.gap:.3e} < tol {degeneracy_tol:.3e}")
     v = _fix_phase(dec.eigenvectors[:, 0])
     return float(dec.eigenvalues[0]), StateVector.from_amplitudes(v, normalize=True)
 

@@ -8,7 +8,7 @@ forward-backward product to approximate the full evolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -183,36 +183,81 @@ def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
     return EntryColor(k=k, i_mod_k=i % k, j_mod_k=j % k, rindex=rindex, cindex=cindex)
 
 
+def _separating_moduli(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """`_separating_modulus` of every pair (i, j) at once; 1 where i == j."""
+    k = np.ones_like(i)
+    left = np.flatnonzero(i != j)
+    for m in range(2, max(2, n * n) + 1):
+        if not left.size:
+            break
+        hit = (j[left] - i[left]) % m != 0
+        k[left[hit]] = m
+        left = left[~hit]
+    if left.size:
+        raise ColoringError(f"no separating modulus in [2..{max(2, n * n)}] for ({i[left[0]]}, {j[left[0]]})")
+    return k
+
+
 def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
-    """Exact split of H into 2x2 combinatorially block-diagonal pieces."""
-    N = H.dim
-    # Explicit zeros are dropped once here, so they change neither the pieces nor their colors.
-    rows = [[(j, v) for j, v in H.oracle.row(i) if v != 0] for i in range(N)]
-    H = replace(H, oracle=RowOracle(n=H.n, row_fn=lambda i, _rows=rows: _rows[i]))
-    dense = H.materialize()  # also validates oracle symmetry
-    groups: dict[EntryColor, list] = {}
-    for i in range(N):
-        for j, v in H.oracle.row(i):
-            if j >= i:  # upper triangle including diagonal; mirror comes for free
-                groups.setdefault(color_entry(H, i, j), []).append((i, j, v))
+    """Exact split of H into 2x2 combinatorially block-diagonal pieces, in O(nnz).
+
+    Each oracle row is read once.  Entry e of the flat row-major arrays (i, j, v)
+    finds its mirror (j, i) by binary search on the key i*N + j.  The pieces equal
+    grouping the upper-triangle entries by `color_entry`, in sorted color order.
+    """
+    N, D = H.dim, H.D
+    rows = [H.oracle.row(r) for r in range(N)]  # one oracle call per row
+    i = np.repeat(np.arange(N), [len(row) for row in rows])
+    j = np.array([c for row in rows for c, _ in row], dtype=np.int64)
+    v = np.array([x for row in rows for _, x in row], dtype=complex)
+    nonzero = v != 0  # explicit zeros change neither the pieces nor their colors
+    i, j, v = i[nonzero], j[nonzero], v[nonzero]
+    if np.any((j < 0) | (j >= N)):
+        raise InconsistentOracleError(f"column index outside [0, {N})")
+    counts = np.bincount(i, minlength=N)
+    if np.any(counts > D):
+        r = int(np.argmax(counts > D))
+        raise InconsistentOracleError(f"row {r} has {counts[r]} > D={D} nonzeros")
+    key = i * N + j  # ascending: rows in order, each sorted by column
+    if np.any(key[1:] == key[:-1]):
+        raise InconsistentOracleError("a row lists the same column twice")
+    position = np.arange(key.size) - (np.cumsum(counts) - counts)[i] + 1  # 1-based, within the row
+    mirror_key = j * N + i
+    m = np.minimum(np.searchsorted(key, mirror_key), max(key.size - 1, 0))
+    has_mirror = key[m] == mirror_key
+    if np.any(np.abs(v - np.conjugate(np.where(has_mirror, v[m], 0))) > 1e-12):
+        raise InconsistentOracleError("oracle rows are not Hermitian-consistent")
+
+    upper = j >= i  # upper triangle including diagonal; mirror comes for free
+    rindex, cindex = position[upper], np.where(has_mirror, position[m], 0)[upper]
+    iu, ju, vu = i[upper], j[upper], v[upper]
+    k = _separating_moduli(iu, ju, H.n)
+    colors = np.stack([k, iu % k, ju % k, rindex, cindex])
+    order = np.lexsort(colors[::-1])  # stable: row-major within a color
+    colors, iu, ju, vu = colors[:, order], iu[order], ju[order], vu[order]
+    new_color = np.ones(iu.size, dtype=bool)
+    new_color[1:] = np.any(colors[:, 1:] != colors[:, :-1], axis=0)
+    bounds = np.append(np.flatnonzero(new_color), iu.size)
+    group = np.cumsum(new_color) - 1
+    off = colors[0] != 1
+
+    touched = np.sort(np.concatenate((group * N + iu, (group * N + ju)[off])))
+    shared = touched[1:][touched[1:] == touched[:-1]]
+    if shared.size:
+        color = EntryColor(*colors[:, bounds[shared.min() // N]].tolist())
+        raise ColoringError(f"blocks of color {color} share indices")
+    # The pieces' triples and their 2x2 mirrors must be exactly the oracle's.
+    rec_key = np.concatenate((iu * N + ju, (ju * N + iu)[off]))
+    rec_v = np.concatenate((np.where(off, vu, vu.real), np.conjugate(vu[off])))
+    by_key = np.argsort(rec_key)
+    if not (np.array_equal(rec_key[by_key], key) and np.array_equal(rec_v[by_key], v)):
+        raise ColoringError("piece sum does not reconstruct H exactly")
 
     pieces = []
-    for color, entries in sorted(groups.items(), key=lambda kv: (
-            kv[0].k, kv[0].i_mod_k, kv[0].j_mod_k, kv[0].rindex, kv[0].cindex)):
-        i, j, v = zip(*entries)
-        touched = i if color.k == 1 else i + j
-        if len(set(touched)) < len(touched):
-            raise ColoringError(f"blocks of color {color} share indices")
-        values = np.real(v) if color.k == 1 else np.array(v, dtype=complex)
-        pieces.append(BlockPiece(color=color, i=np.array(i), j=np.array(j), values=values))
-
-    total = np.zeros((N, N), dtype=complex)
-    for p in pieces:
-        total[p.i, p.j] += p.values
-        if p.color.k != 1:  # a 2x2 block's mirror entry; a 1x1 block has i == j
-            total[p.j, p.i] += np.conjugate(p.values)
-    if not np.array_equal(total, dense.entries):
-        raise ColoringError("piece sum does not reconstruct H exactly")
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        color = EntryColor(*colors[:, a].tolist())
+        values = vu[a:b].real if color.k == 1 else vu[a:b]
+        pieces.append(BlockPiece(color=color, i=iu[a:b], j=ju[a:b], values=values))
     return pieces
 
 

@@ -272,11 +272,18 @@ def dlp_promise_holds(p: int, g: int, y: int, c: float = 1 / 6) -> str | None:
     return None
 
 
-def dlp_decider(p: int, g: int, y: int, shots: int, rng: np.random.Generator) -> str:
-    """'low' or 'high' by a Hadamard test between the two window Qsamples."""
+def dlp_threshold(p: int, g: int) -> float:
+    """Hadamard-test frequency between the low window's 1/2 and the high window's worst (1 + ov_min)/2."""
+    return 0.5 + dlp_min_high_overlap(p, g) / 4.0
+
+
+def dlp_decider(p: int, g: int, y: int, shots: int, rng: np.random.Generator,
+                threshold: float) -> str:
+    """'low' or 'high' by a Hadamard test between the two window Qsamples.
+
+    `threshold` is `dlp_threshold(p, g)`, computed once for all decisions on (p, g).
+    """
     v, w = dlp_states(p, g, y)
-    ov_min = dlp_min_high_overlap(p, g)
-    threshold = 0.5 + ov_min / 4.0  # midpoint of 1/2 and (1 + ov_min)/2
     freq = hadamard_test(v, w, shots, rng)
     return "high" if freq > threshold else "low"
 
@@ -322,10 +329,16 @@ def qr_nonresidue_max_overlap(nn: int) -> float:
                default=0.0)
 
 
-def qr_decider(nn: int, x: int, shots: int, rng: np.random.Generator) -> str:
-    """'residue' or 'nonresidue' via a Hadamard test against C_1."""
+def qr_threshold(nn: int) -> float:
+    """Hadamard-test frequency between a residue's 1 and a non-residue's worst (1 + ov_max)/2."""
+    return (1.0 + (1.0 + qr_nonresidue_max_overlap(nn)) / 2.0) / 2.0
+
+
+def qr_decider(nn: int, x: int, shots: int, rng: np.random.Generator, threshold: float) -> str:
+    """'residue' or 'nonresidue' via a Hadamard test against C_1.
+
+    `threshold` is `qr_threshold(nn)`, computed once for all decisions modulo nn.
+    """
     c1, cx = qr_states(nn, x)
-    ov_max = qr_nonresidue_max_overlap(nn)
-    threshold = (1.0 + (1.0 + ov_max) / 2.0) / 2.0  # midpoint of 1 and (1+ov_max)/2
     freq = hadamard_test(c1, cx, shots, rng)
     return "residue" if freq > threshold else "nonresidue"

@@ -287,7 +287,7 @@ def test_10_number_theoretic_deciders():
     qr_mismatches = qr_total = 0
     for nn in (15, 21, 33):
         for x in szk.units(nn):
-            got = szk.qr_decider(nn, x, 4000, rng)
+            got = szk.qr_decider(nn, x, 4000, rng, szk.qr_threshold(nn))
             want = "residue" if szk.is_residue(x, nn) else "nonresidue"
             qr_total += 1
             qr_mismatches += got != want
@@ -303,7 +303,7 @@ def test_10_number_theoretic_deciders():
             y = pow(g, x, p)
             want = szk.dlp_promise_holds(p, g, y)
             assert want is not None
-            dlp_mismatches += szk.dlp_decider(p, g, y, 4000, rng) != want
+            dlp_mismatches += szk.dlp_decider(p, g, y, 4000, rng, szk.dlp_threshold(p, g)) != want
     ok = qr_mismatches == 0 and dlp_mismatches == 0
     report(10, "number-theoretic-deciders", ok,
            f"qr {qr_total} units 0 mismatches={qr_mismatches == 0}, "

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adiagen import adiabatic
 from adiagen.qcore import (
+    DegenerateGroundstateError,
     DenseHermitian,
     StateVector,
     ground_state,
@@ -328,6 +329,24 @@ class TestPerturbationBound:
         J = DenseHermitian(H.entries + 1e-6 * (P + P.T) / 2)
         lhs, _ = adiabatic.groundstate_perturbation_bound(H, J)
         assert lhs >= 1 - 1e-8
+
+    def test_one_eigh_per_operator(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # the gaps come from the same eigh
+        H = DenseHermitian(np.diag([0.0, 1.0, 3.0]))
+        J = DenseHermitian(np.diag([0.1, 1.0, 3.0]))
+        assert adiabatic.groundstate_perturbation_bound(H, J) == pytest.approx((1.0, 1.0 - 4 * 0.1**2 / 0.9**2))
+        assert len(calls) == 2
+
+    def test_degenerate_and_one_dimensional_rejected(self):
+        H = DenseHermitian(np.diag([0.0, 0.0, 1.0]))
+        with pytest.raises(DegenerateGroundstateError):
+            adiabatic.groundstate_perturbation_bound(H, H)
+        one = DenseHermitian(np.array([[1.0]]))
+        with pytest.raises(ValueError, match="dim"):
+            adiabatic.groundstate_perturbation_bound(one, one)
 
     def test_holds_on_random_pairs(self):
         rng = np.random.default_rng(82)

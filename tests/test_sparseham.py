@@ -1,6 +1,7 @@
 """Coloring decomposition and symmetric product-formula simulation."""
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiagen import sparseham
 from adiagen.qcore import (
     DenseHermitian,
     matrix_exponential,
@@ -36,6 +38,59 @@ from adiagen.sparseham import (
 # Random row-sparse instances of 1 to 3 qubits: (n, D, seed), D clamped to the dimension.
 instances = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1)).map(
     lambda nds: random_sparse_hermitian(nds[0], min(nds[1], 1 << nds[0]), 1.0, nds[2]))
+
+
+def row_scan_pieces(H):
+    """The grouping `decompose` replaced: a `color_entry` row scan per upper-triangle entry.
+
+    Colors come from `color_entry` on the oracle with its explicit zeros dropped.
+    """
+    rows = [[(j, v) for j, v in H.oracle.row(i) if v != 0] for i in range(H.dim)]
+    H = replace(H, oracle=RowOracle(n=H.n, row_fn=lambda i: rows[i]))
+    groups = {}
+    for i in range(H.dim):
+        for j, v in H.oracle.row(i):
+            if j >= i:
+                groups.setdefault(color_entry(H, i, j), []).append((i, j, v))
+    pieces = []
+    for color, entries in sorted(groups.items(), key=lambda kv: (
+            kv[0].k, kv[0].i_mod_k, kv[0].j_mod_k, kv[0].rindex, kv[0].cindex)):
+        i, j, v = zip(*entries)
+        values = np.real(v) if color.k == 1 else np.array(v, dtype=complex)
+        pieces.append(BlockPiece(color=color, i=np.array(i), j=np.array(j), values=values))
+    return pieces
+
+
+@st.composite
+def oracles(draw):
+    """Row oracles of 1 to 7 qubits, D up to N, rows unsorted and padded with explicit zeros."""
+    n = draw(st.integers(1, 7))
+    N = 1 << n
+    m = random_sparse_hermitian(n, draw(st.integers(1, N)), 1.0, draw(st.integers(0, 2**32 - 1))).entries
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_rate = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    rows = []
+    for i in range(N):
+        row = [(j, complex(m[i, j])) for j in range(N) if m[i, j] != 0 or rng.random() < zero_rate]
+        rng.shuffle(row)
+        rows.append(row)
+    D = max(1, max(len(row) for row in rows))  # materialize counts the zeros against D
+    return SparseHamiltonian(RowOracle(n=n, row_fn=lambda i: rows[i]), D=D, lam=1.0)
+
+
+# name -> (rows of a 2x2 oracle, D, error decompose raises)
+BAD_ORACLES = {
+    "too-many-nonzeros": ([[(0, 1.0), (1, 1.0)], [(0, 1.0)]], 1, InconsistentOracleError),
+    "asymmetric": ([[(1, 1.0)], [(0, 2.0)]], 2, InconsistentOracleError),
+    "slightly-asymmetric": ([[(1, 1.0)], [(0, 1.0 + 1e-9)]], 2, InconsistentOracleError),
+    "missing-mirror": ([[(1, 1.0)], []], 2, InconsistentOracleError),
+    "repeated-column": ([[(1, 1.0), (1, 1.0)], [(0, 1.0)]], 2, InconsistentOracleError),
+    "column-outside": ([[(2, 1.0)], []], 2, InconsistentOracleError),
+    # Within materialize's 1e-12 symmetry tolerance, but not reconstructed exactly.
+    "tiny-missing-mirror": ([[(1, 1e-13)], []], 2, ColoringError),
+    "tiny-asymmetry": ([[(1, 1.0)], [(0, 1.0 + 1e-13)]], 2, ColoringError),
+    "tiny-imaginary-diagonal": ([[(0, 1.0 + 1e-13j)], []], 2, ColoringError),
+}
 
 
 def explicit_4x4():
@@ -103,6 +158,44 @@ class TestDecompose:
             n, D = 4, 3
             H = sparse_from_dense(random_sparse_hermitian(n, D, 1.0, seed=seed), D=D)
             assert len(decompose(H)) <= (D + 1) ** 2 * n**6
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracles())
+    def test_matches_row_scan_grouping(self, H):
+        got, want = decompose(H), row_scan_pieces(H)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            assert p.color == q.color
+            for a, b in ((p.i, q.i), (p.j, q.j), (p.values, q.values)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        total = np.zeros((H.dim, H.dim), dtype=complex)  # the sum of p.materialize(N), without N^2 per piece
+        for p in got:
+            total[p.i, p.j] += p.values
+            if p.color.k != 1:
+                total[p.j, p.i] += np.conjugate(p.values)
+        assert np.array_equal(total, H.materialize().entries)
+
+    def test_one_oracle_call_per_row(self, monkeypatch):
+        H = sparse_from_dense(random_sparse_hermitian(5, 4, 1.0, seed=3))
+        calls, reads = [], []
+        spy = replace(H, oracle=RowOracle(n=H.n, row_fn=lambda i: calls.append(i) or H.oracle.row_fn(i)))
+        row = RowOracle.row  # counts row reads through any oracle, including one built inside decompose
+        monkeypatch.setattr(RowOracle, "row", lambda oracle, i: reads.append(i) or row(oracle, i))
+        decompose(spy)
+        assert sorted(calls) == sorted(reads) == list(range(H.dim))
+
+    @pytest.mark.parametrize("rows, D, error", BAD_ORACLES.values(), ids=BAD_ORACLES.keys())
+    def test_bad_oracle_rejected(self, rows, D, error):
+        with pytest.raises(error):
+            decompose(SparseHamiltonian(RowOracle(n=1, row_fn=lambda i: rows[i]), D=D, lam=1.0))
+
+    def test_shared_block_index_rejected(self, monkeypatch):
+        # With k = 2 for every pair, (0, 2) and (2, 4) get one color and share index 2.
+        rows = {0: [(1, 1.0), (2, 1.0)], 1: [(0, 1.0)], 2: [(0, 1.0), (4, 1.0)], 4: [(2, 1.0)]}
+        H = SparseHamiltonian(RowOracle(n=3, row_fn=lambda i: rows.get(i, [])), D=2, lam=1.0)
+        monkeypatch.setattr(sparseham, "_separating_moduli", lambda i, j, n: np.where(i == j, 1, 2))
+        with pytest.raises(ColoringError, match="share indices"):
+            decompose(H)
 
     def test_inconsistent_oracle_rejected(self):
         rows = {0: [(1, 1.0 + 0j)], 1: []}

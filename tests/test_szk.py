@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiagen import szk
+from adiagen import cli, szk
 from adiagen.qcore import StateVector, state_overlap
 
 
@@ -195,20 +195,20 @@ class TestDLP:
         p, g = 251, 6
         x = p // 2 + 2
         rng = np.random.default_rng(7)
-        wins = sum(szk.dlp_decider(p, g, pow(g, x, p), 4000, rng) == "high"
+        wins = sum(szk.dlp_decider(p, g, pow(g, x, p), 4000, rng, szk.dlp_threshold(p, g)) == "high"
                    for _ in range(100))
         assert wins >= 99
 
     def test_decider_low_instance(self):
         p, g = 251, 6
         rng = np.random.default_rng(8)
-        assert szk.dlp_decider(p, g, pow(g, 3, p), 4000, rng) == "low"
+        assert szk.dlp_decider(p, g, pow(g, 3, p), 4000, rng, szk.dlp_threshold(p, g)) == "low"
 
     def test_repeated_seed_deterministic(self):
         p, g = 251, 6
         y = pow(g, 3, p)
-        a = szk.dlp_decider(p, g, y, 4000, np.random.default_rng(9))
-        b = szk.dlp_decider(p, g, y, 4000, np.random.default_rng(9))
+        a = szk.dlp_decider(p, g, y, 4000, np.random.default_rng(9), szk.dlp_threshold(p, g))
+        b = szk.dlp_decider(p, g, y, 4000, np.random.default_rng(9), szk.dlp_threshold(p, g))
         assert a == b
 
     def test_promise_referee(self):
@@ -243,7 +243,7 @@ class TestQR:
         rng = np.random.default_rng(10)
         for x in szk.units(15):
             want = "residue" if szk.is_residue(x, 15) else "nonresidue"
-            assert szk.qr_decider(15, x, 4000, rng) == want
+            assert szk.qr_decider(15, x, 4000, rng, szk.qr_threshold(15)) == want
 
     def test_nonunit_rejected(self):
         with pytest.raises(ValueError):
@@ -331,6 +331,62 @@ class TestArrayConstructionsMatchLoops:
         for nn in (16, 45, 1 << 17):
             with pytest.raises(ValueError):
                 szk.qr_nonresidue_max_overlap(nn)
+
+
+def parent_qr_decider(nn, x, shots, rng):
+    """The QR decider before it took its threshold, which it recomputed per decision: (decision, threshold)."""
+    c1, cx = szk.qr_states(nn, x)
+    ov_max = szk.qr_nonresidue_max_overlap(nn)
+    threshold = (1.0 + (1.0 + ov_max) / 2.0) / 2.0
+    return "residue" if szk.hadamard_test(c1, cx, shots, rng) > threshold else "nonresidue", threshold
+
+
+def parent_dlp_decider(p, g, y, shots, rng):
+    """The discrete-log decider before it took its threshold: (decision, threshold)."""
+    v, w = szk.dlp_states(p, g, y)
+    threshold = 0.5 + szk.dlp_min_high_overlap(p, g) / 4.0
+    return "high" if szk.hadamard_test(v, w, shots, rng) > threshold else "low", threshold
+
+
+# The szk-qr and szk-dlp runs of the benchmark's many-small workload:
+# command -> (decider, its parent version, threshold overlap, overlap calls, decisions, params)
+BENCHMARK_RUNS = {
+    "szk-qr": ("qr_decider", parent_qr_decider, "qr_nonresidue_max_overlap", 16, 672,
+               {"moduli": BENCHMARK_MODULI}),
+    "szk-dlp": ("dlp_decider", parent_dlp_decider, "dlp_min_high_overlap", 1, 250,
+                {"p": 4099, "g": 2, "instances": 250}),
+}
+
+
+class TestThresholdOncePerModulus:
+    @pytest.mark.parametrize("command", BENCHMARK_RUNS)
+    def test_threshold_computed_once(self, command, monkeypatch):
+        _, _, overlap, times, _, params = BENCHMARK_RUNS[command]
+        calls = []
+        original = getattr(szk, overlap)
+        monkeypatch.setattr(szk, overlap, lambda *args: calls.append(args) or original(*args))
+        assert cli.run({"command": command, "seed": 1, **params}).ok
+        assert len(calls) == times
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("command", BENCHMARK_RUNS)
+    def test_replay_gives_the_parent_decisions(self, command, seed, monkeypatch):
+        """Each decision the CLI makes, replayed from the same generator state with the per-call threshold."""
+        name, parent_decider, _, _, decisions, params = BENCHMARK_RUNS[command]
+        decider = getattr(szk, name)
+        replays = []
+
+        def recording(*args):
+            *head, rng, threshold = args
+            replay = np.random.default_rng()
+            replay.bit_generator.state = rng.bit_generator.state
+            replays.append(((decider(*args), threshold), parent_decider(*head, replay)))
+            return replays[-1][0][0]
+
+        monkeypatch.setattr(szk, name, recording)
+        cli.run({"command": command, "seed": seed, **params})
+        assert len(replays) == decisions
+        assert all(got == want for got, want in replays)
 
 
 class TestParsing:
