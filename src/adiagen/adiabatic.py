@@ -16,13 +16,15 @@ from .qcore import (
     DEGENERACY_TOL,
     DegenerateGroundstateError,
     DenseHermitian,
+    DimensionMismatchError,
     NumericalError,
     StateVector,
     UnitaryMatrix,
     _fix_phase,
     decompose_hermitian,
     ground_state,
-    ground_state_of,
+    hermitian_entries,
+    hermitian_norm,
     matrix_exponential,
     spectral_norm,
     state_overlap,
@@ -107,10 +109,16 @@ def projector_hamiltonian(alpha: StateVector) -> DenseHermitian:
     return DenseHermitian(np.eye(a.size) - np.outer(a, a.conj()))
 
 
-def two_projector_gap_formula(overlap_mag: float, eta: float) -> float:
-    """Gap of (1-eta)(I-|a><a|) + eta(I-|b><b|): sqrt(1 - 4(1-eta)eta |b_perp|^2)."""
+def two_projector_gap_formula(overlap_mag, eta):
+    """Gap of (1-eta)(I-|a><a|) + eta(I-|b><b|): sqrt(1 - 4(1-eta)eta |b_perp|^2).
+
+    Floats give a float; arrays give the array of gaps, elementwise.
+    """
     b_perp_sq = 1.0 - overlap_mag**2
-    return math.sqrt(max(0.0, 1.0 - 4.0 * (1.0 - eta) * eta * b_perp_sq))
+    x = 1.0 - 4.0 * (1.0 - eta) * eta * b_perp_sq
+    if isinstance(x, np.ndarray):
+        return np.sqrt(np.maximum(x, 0.0))
+    return math.sqrt(max(0.0, x))
 
 
 class DisconnectedPathError(NumericalError, ValueError):
@@ -164,17 +172,17 @@ def check_adiabatic_condition(path: HamiltonianPath, sched: Schedule, grid: int 
 
 
 def evolve_discretized(path: HamiltonianPath, sched: Schedule, delta: float,
-                       psi0: StateVector) -> EvolutionReport:
+                       psi0: StateVector, cond: ConditionReport) -> EvolutionReport:
     """Product of e^{-i H(s_j) delta} over a uniform s-grid with T ds = delta.
 
-    success_probability reports the squared overlap of the final state with
-    the final groundstate.
+    `cond` is `check_adiabatic_condition` of this path, for any schedule: the
+    condition is judged against `sched` here.  success_probability reports
+    the squared overlap of the final state with the final groundstate.
     """
     if abs(abs(state_overlap(psi0, path.ground_state(0.0))) - 1.0) > 1e-6:
         raise ValueError("psi0 is not the groundstate of H(0)")
     warnings: list[str] = []
-    cond = check_adiabatic_condition(path, sched)
-    if not cond.holds:
+    if sched.T * sched.eps < cond.max_ratio:
         warnings.append(
             f"adiabatic condition violated: T*eps={sched.T * sched.eps:.4g} "
             f"< max ratio {cond.max_ratio:.4g}"
@@ -359,19 +367,28 @@ def zeno_success_samples(step_probs: np.ndarray, shots: int,
     return total
 
 
-def groundstate_perturbation_bound(H: DenseHermitian, J: DenseHermitian) -> tuple[float, float]:
-    """Groundstate overlap |<a(H)|a(J)>| and its lower bound 1 - 4 eta^2/gap^2.
+def groundstate_perturbation_bound(H, J):
+    """Groundstate overlap |<a(H)|a(J)>| and its lower bound 1 - 4 eta^2/gap^2, eta = ||H - J||.
 
-    Each operator's groundstate and gap come from one eigendecomposition.
+    H and J are two DenseHermitian, or two (..., N, N) Hermitian stacks paired
+    matrix by matrix.  Each operator's groundstate and gap come from one eigh
+    call per operand.  A pair of DenseHermitian gives two floats and raises
+    DegenerateGroundstateError on a degenerate groundstate; stacks give two
+    arrays, NaN at each degenerate pair.
     """
-    decH, decJ = decompose_hermitian(H), decompose_hermitian(J)
-    _, aH = ground_state_of(decH)
-    _, aJ = ground_state_of(decJ)
-    eta = spectral_norm(H.entries - J.entries)
-    gap = min(decH.gap, decJ.gap)
-    lhs = abs(state_overlap(aH, aJ))
-    rhs = 1.0 - 4.0 * eta**2 / gap**2
-    return lhs, rhs
+    h, j = hermitian_entries(H), hermitian_entries(J)
+    if h.shape != j.shape:
+        raise DimensionMismatchError(f"shapes {h.shape} != {j.shape}")
+    (valsH, vecsH), (valsJ, vecsJ) = np.linalg.eigh(h), np.linalg.eigh(j)
+    gap = np.minimum(valsH[..., 1] - valsH[..., 0], valsJ[..., 1] - valsJ[..., 0])
+    lhs = np.abs(np.sum(vecsH[..., 0].conj() * vecsJ[..., 0], axis=-1))
+    if isinstance(H, DenseHermitian):
+        if gap < DEGENERACY_TOL:
+            raise DegenerateGroundstateError(f"groundstate degenerate: gap {gap:.3e} < tol {DEGENERACY_TOL:.3e}")
+        return float(lhs), 1.0 - 4.0 * spectral_norm(h - j) ** 2 / float(gap) ** 2
+    degenerate = gap < DEGENERACY_TOL
+    rhs = 1.0 - 4.0 * hermitian_norm(h - j) ** 2 / np.where(degenerate, np.nan, gap) ** 2
+    return np.where(degenerate, np.nan, lhs), rhs
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,9 @@ import numpy as np
 
 from . import adiabatic, markov, sparseham, szk
 from .qcore import (
-    DegenerateGroundstateError,
-    DenseHermitian,
+    MAX_DIM,
     NumericalError,
-    StateVector,
-    ground_state,
+    hermitian_norm,
     matrix_exponential,
     random_sparse_hermitian,
     spectral_gap,
@@ -125,9 +123,8 @@ def _run_decompose_check(cfg: dict, report: RunReport) -> None:
         pieces = sparseham.decompose(sh)  # reconstruction + disjointness checked inside
         bound = (D + 1) ** 2 * n**6
         max_count_ratio = max(max_count_ratio, len(pieces) / bound)
-        norm_h = spectral_norm(H)
-        for p in pieces:
-            worst_norm_excess = max(worst_norm_excess, p.norm() - norm_h)
+        for p in pieces:  # ||H|| = sh.lam: random_sparse_hermitian rescaled H to it
+            worst_norm_excess = max(worst_norm_excess, p.norm() - sh.lam)
     report.scalars["instances"] = cfg["instances"]
     report.scalars["max_piece_count_ratio"] = max_count_ratio
     report.scalars["worst_norm_excess"] = worst_norm_excess
@@ -162,50 +159,63 @@ def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
     report.flags["accuracy_met"] = achieved <= cfg["alpha"]
 
 
+_STACK_ENTRIES = 100 * 8 * 8  # entries per stacked matrix operand: 100 trials at dim 8
+
+
+def _stacks(cfg: dict):
+    """Trial counts of the stacks `cfg`'s trials run in: at most 100, fewer above dim 8."""
+    trials, dim = cfg["trials"], cfg["dim"]
+    _require(cfg, "trials", trials >= 1, ">= 1")
+    _require(cfg, "dim", 2 <= dim <= MAX_DIM, f"in [2, {MAX_DIM}]")
+    size = max(1, min(100, _STACK_ENTRIES // dim**2))
+    return [min(size, trials - start) for start in range(0, trials, size)]
+
+
 def _run_gap_formula(cfg: dict, report: RunReport) -> None:
-    _require(cfg, "trials", cfg["trials"] >= 1, ">= 1")
+    stacks = _stacks(cfg)
     rng = sub_rng(cfg["seed"], "gap-formula")
     dim = cfg["dim"]
     worst = 0.0
     worst_below_overlap = 0.0  # the lemma: no gap on the segment is below |<a|b>|
-    for _ in range(cfg["trials"]):
-        a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        alpha = StateVector.from_amplitudes(a, normalize=True)
-        beta = StateVector.from_amplitudes(b, normalize=True)
-        eta = float(rng.uniform(0.05, 0.95))
-        H = DenseHermitian((1 - eta) * adiabatic.projector_hamiltonian(alpha).entries
-                           + eta * adiabatic.projector_hamiltonian(beta).entries)
+    for k in stacks:
+        z, eta = np.empty((k, 4, dim)), np.empty(k)
+        for i in range(k):  # the draws of one trial after another: Re a, Im a, Re b, Im b, eta
+            z[i] = rng.normal(size=(4, dim))
+            eta[i] = rng.uniform(0.05, 0.95)
+        alpha, beta = (x / np.linalg.norm(x, axis=1, keepdims=True)
+                       for x in (z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]))
+        w = eta[:, None, None]
+        H = (np.eye(dim) - (1 - w) * alpha[:, :, None] * alpha[:, None, :].conj()
+             - w * beta[:, :, None] * beta[:, None, :].conj())
         got = spectral_gap(H)
-        ov = abs(state_overlap(alpha, beta))
+        ov = np.abs(np.sum(alpha.conj() * beta, axis=1))
         want = adiabatic.two_projector_gap_formula(ov, eta)
-        worst = max(worst, abs(got - want))
-        worst_below_overlap = max(worst_below_overlap, ov - got)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst_below_overlap = max(worst_below_overlap, float(np.max(ov - got)))
     report.scalars["worst_formula_deviation"] = worst
     report.flags["formula_exact"] = worst <= 1e-9
     report.flags["minimum_at_half"] = worst_below_overlap <= 1e-9
 
 
 def _run_zen_bound(cfg: dict, report: RunReport) -> None:
-    _require(cfg, "trials", cfg["trials"] >= 1, ">= 1")
+    stacks = _stacks(cfg)
     rng = sub_rng(cfg["seed"], "zen-bound")
     dim = cfg["dim"]
     violations = 0
     worst_margin = math.inf
-    for _ in range(cfg["trials"]):
-        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        H = DenseHermitian((A + A.conj().T) / 2)
-        P = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        P = (P + P.conj().T) / 2
-        scale = float(rng.uniform(1e-4, 0.2)) / max(spectral_norm(P), 1e-12)
-        J = DenseHermitian(H.entries + scale * P)
-        try:
-            lhs, rhs = adiabatic.groundstate_perturbation_bound(H, J)
-        except DegenerateGroundstateError:
-            continue  # degenerate draw; not a promise instance
-        worst_margin = min(worst_margin, lhs - rhs)
-        if lhs < rhs:
-            violations += 1
+    for k in stacks:
+        z, u = np.empty((k, 4, dim, dim)), np.empty(k)
+        for i in range(k):  # the draws of one trial after another: Re A, Im A, Re P, Im P, u
+            z[i] = rng.normal(size=(4, dim, dim))
+            u[i] = rng.uniform(1e-4, 0.2)
+        A, P = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+        H = (A + A.conj().swapaxes(1, 2)) / 2
+        P = (P + P.conj().swapaxes(1, 2)) / 2
+        scale = u / np.maximum(hermitian_norm(P), 1e-12)
+        lhs, rhs = adiabatic.groundstate_perturbation_bound(H, H + scale[:, None, None] * P)
+        promise = ~np.isnan(lhs)  # a degenerate draw is not a promise instance
+        worst_margin = min(worst_margin, float(np.min(lhs[promise] - rhs[promise], initial=math.inf)))
+        violations += int(np.sum(lhs[promise] < rhs[promise]))
     report.scalars["violations"] = violations
     report.scalars["worst_margin"] = worst_margin
     report.flags["inequality_holds"] = violations == 0
@@ -250,7 +260,7 @@ def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
     cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1.0, eps=eps))
     T = cfg["T"] or max(1.0, cond.max_ratio / eps)
     rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=eps), cfg["delta"],
-                                       path.ground_state(0.0))
+                                       path.ground_state(0.0), cond)
     report.scalars["T"] = T
     report.scalars["max_condition_ratio"] = cond.max_ratio
     report.scalars["final_fidelity_sq"] = rep.success_probability
@@ -291,9 +301,7 @@ def _run_markov_spectrum(cfg: dict, report: RunReport) -> None:
         hvals = np.sort(np.linalg.eigvalsh(H.entries))
         mvals = np.sort(1.0 - np.linalg.eigvals(chain.transition).real)
         worst_spec = max(worst_spec, float(np.max(np.abs(hvals - mvals))))
-        _, g = ground_state(H)
-        worst_ground = max(worst_ground, float(np.max(np.abs(
-            np.abs(g.amplitudes) - np.sqrt(pi.pi)))))
+        worst_ground = max(worst_ground, markov.sqrt_pi_deviation(H, pi, hvals))
     report.scalars["worst_spectrum_deviation"] = worst_spec
     report.scalars["worst_groundstate_deviation"] = worst_ground
     report.flags["spectrum_correspondence"] = worst_spec <= 1e-9

@@ -116,6 +116,27 @@ def chain_hamiltonian(M: MarkovChain, pi: StationaryDistribution | None = None) 
     return DenseHermitian(H)
 
 
+def sqrt_pi_deviation(H: DenseHermitian, pi: StationaryDistribution, spectrum: np.ndarray) -> float:
+    """Bound on ||g - |sqrt(pi)>|| for the phase-aligned groundstate g of H; inf if there is none.
+
+    `spectrum` is H's ascending eigvalsh spectrum; no eigenvector is computed.
+    With v = |sqrt(pi)>, theta = <v|H|v> and r = ||Hv - theta v||, the
+    Davis-Kahan sin-theta theorem gives sin(angle(g, v)) <= s = r / (lambda_1 - theta)
+    when theta lies nearer lambda_0 than lambda_1.  The chord ||g - v|| =
+    2 sin(angle/2) is then at most 2 sin(asin(s)/2), which equals s to
+    round-off for s below 1e-8.
+    """
+    v = np.sqrt(pi.pi)
+    v = v / np.linalg.norm(v)
+    Hv = H.entries @ v
+    theta = float(np.vdot(v, Hv).real)
+    above = spectrum[1] - theta if spectrum.size > 1 else math.inf
+    if above <= 0 or theta - spectrum[0] >= above:
+        return math.inf
+    s = float(np.linalg.norm(Hv - theta * v)) / above
+    return 2 * math.sin(math.asin(s) / 2) if s < 1 else math.inf
+
+
 def second_gap(M: MarkovChain) -> float:
     """1 - lambda_2(M), equal to the spectral gap of H_M."""
     return spectral_gap(chain_hamiltonian(M))
@@ -235,7 +256,7 @@ def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
     if mode == "schrodinger":
         cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1.0, eps=eps))
         T = max(1.0, cond.max_ratio / eps)
-        return adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=eps), delta, targets[0])
+        return adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=eps), delta, targets[0], cond)
     raise ValueError(f"unknown mode {mode!r}")
 
 

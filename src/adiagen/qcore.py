@@ -153,12 +153,40 @@ def matrix_exponential(H: DenseHermitian, t: float) -> UnitaryMatrix:
     return UnitaryMatrix((V * phases) @ V.conj().T)
 
 
-def spectral_gap(H: DenseHermitian) -> float:
-    """Difference between the two smallest eigenvalues."""
-    if H.dim < 2:
-        raise ValueError("spectral gap needs dim >= 2")
-    vals = np.linalg.eigvalsh(H.entries)
-    return float(vals[1] - vals[0])
+def hermitian_entries(H) -> np.ndarray:
+    """The entries of a DenseHermitian, or a (..., N, N) stack checked in one pass.
+
+    Either must have N >= 2; a stack must be square and Hermitian within
+    HERMITICITY_TOL.
+    """
+    if isinstance(H, DenseHermitian):
+        m = H.entries  # checked when H was built
+    else:
+        m = _as_complex_array(H)
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+            raise ValueError(f"need a stack of square matrices, got shape {m.shape}")
+        resid = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0)
+        if resid > HERMITICITY_TOL:
+            raise ValueError(f"stack not Hermitian: residual {resid}")
+    if m.shape[-1] < 2:
+        raise ValueError(f"spectral gap needs dim >= 2, got dim {m.shape[-1]}")
+    return m
+
+
+def hermitian_norm(stack: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a Hermitian (..., N, N) stack: its largest |eigenvalue|."""
+    return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+
+
+def spectral_gap(H):
+    """Difference between the two smallest eigenvalues.
+
+    A DenseHermitian gives a float; a (..., N, N) stack gives the array of
+    its matrices' gaps, from one eigvalsh call.
+    """
+    vals = np.linalg.eigvalsh(hermitian_entries(H))
+    gaps = vals[..., 1] - vals[..., 0]
+    return float(gaps) if isinstance(H, DenseHermitian) else gaps
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -172,12 +200,7 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 def ground_state(H: DenseHermitian, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[float, StateVector]:
     """Groundvalue and groundstate, phase-fixed; errors out on degeneracy."""
-    return ground_state_of(decompose_hermitian(H), degeneracy_tol)
-
-
-def ground_state_of(dec: SpectralDecomposition,
-                    degeneracy_tol: float = DEGENERACY_TOL) -> tuple[float, StateVector]:
-    """`ground_state` read off an eigendecomposition already made."""
+    dec = decompose_hermitian(H)
     if dec.dim >= 2 and dec.gap < degeneracy_tol:
         raise DegenerateGroundstateError(
             f"groundstate degenerate: gap {dec.gap:.3e} < tol {degeneracy_tol:.3e}")

@@ -10,6 +10,7 @@ from adiagen import adiabatic
 from adiagen.qcore import (
     DegenerateGroundstateError,
     DenseHermitian,
+    DimensionMismatchError,
     StateVector,
     ground_state,
     matrix_exponential,
@@ -159,7 +160,8 @@ class TestEvolveDiscretized:
     def test_constant_path_preserves_state(self):
         psi = StateVector.basis(2, 0)
         path = adiabatic.jagged_path([psi])
-        rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=5, eps=0.1), 0.1, psi)
+        sched = adiabatic.Schedule(T=5, eps=0.1)
+        rep = adiabatic.evolve_discretized(path, sched, 0.1, psi, adiabatic.check_adiabatic_condition(path, sched))
         assert rep.success_probability == pytest.approx(1.0, abs=1e-9)
 
     def test_overlap_09_path_reaches_target(self):
@@ -167,17 +169,26 @@ class TestEvolveDiscretized:
         path = adiabatic.jagged_path([a, b])
         cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1, eps=0.01))
         T = cond.max_ratio / 0.01
-        rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=0.01), 0.02, a)
+        rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=0.01), 0.02, a, cond)
         assert rep.success_probability >= 0.99
         assert not rep.warnings
+
+    def test_condition_judged_against_the_evolution_schedule(self):
+        a, b = state_pair_with_overlap(0.9)
+        path = adiabatic.jagged_path([a, b])
+        cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1e6, eps=0.01))
+        assert cond.holds
+        rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=1.0, eps=0.01), 0.1, a, cond)
+        assert len(rep.warnings) == 1 and "adiabatic condition violated" in rep.warnings[0]
 
     def test_fidelity_improves_with_T(self):
         a, b = state_pair_with_overlap(0.8)
         path = adiabatic.jagged_path([a, b])
+        cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1, eps=1.0))
         fids = []
         for T in (2.0, 8.0, 32.0, 128.0):
             rep = adiabatic.evolve_discretized(
-                path, adiabatic.Schedule(T=T, eps=1.0), 0.02, a)
+                path, adiabatic.Schedule(T=T, eps=1.0), 0.02, a, cond)
             fids.append(rep.success_probability)
         assert fids[-1] > fids[0]
         assert fids[-1] >= 0.99
@@ -185,9 +196,10 @@ class TestEvolveDiscretized:
     def test_wrong_initial_state_rejected(self):
         a, b = state_pair_with_overlap(0.9, dim=4)
         path = adiabatic.jagged_path([a, b])
+        sched = adiabatic.Schedule(T=1, eps=0.1)
         with pytest.raises(ValueError):
             adiabatic.evolve_discretized(
-                path, adiabatic.Schedule(T=1, eps=0.1), 0.1, StateVector.basis(4, 3))
+                path, sched, 0.1, StateVector.basis(4, 3), adiabatic.check_adiabatic_condition(path, sched))
 
 
 class TestPhaseEstimation:
@@ -361,6 +373,68 @@ class TestPerturbationBound:
             except Exception:
                 continue
             assert lhs >= rhs - 1e-12
+
+
+@st.composite
+def stacked_pairs(draw):
+    """(H, J, d): 1-7 pairs of N x N Hermitian matrices, N in 2..8, J a perturbation of H
+    as zen-bound draws it, and pair d with a degenerate groundstate in H or in J."""
+    k, N = draw(st.integers(1, 7)), draw(st.integers(2, 8))
+    d = draw(st.integers(0, k - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(k, N, N)) + 1j * rng.normal(size=(k, N, N))
+    P = rng.normal(size=(k, N, N)) + 1j * rng.normal(size=(k, N, N))
+    H = (A + A.conj().swapaxes(1, 2)) / 2
+    P = (P + P.conj().swapaxes(1, 2)) / 2
+    J = H + rng.uniform(1e-4, 0.2, size=(k, 1, 1)) * P / np.linalg.norm(P, 2, axis=(1, 2), keepdims=True)
+    U = np.linalg.qr(A[d])[0]
+    (H if draw(st.booleans()) else J)[d] = (U * np.r_[0.0, 0.0, 1.0 + np.arange(N - 2)]) @ U.conj().T
+    return H, J, d
+
+
+class TestStackedOperands:
+    """`spectral_gap` and `groundstate_perturbation_bound` on (k, N, N) stacks against pair-by-pair calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_pairs())
+    def test_stack_matches_each_pair(self, instance):
+        H, J, d = instance
+        lhs, rhs = adiabatic.groundstate_perturbation_bound(H, J)
+        gaps = spectral_gap(H)
+        assert np.flatnonzero(np.isnan(lhs)).tolist() == [d]
+        assert np.flatnonzero(np.isnan(rhs)).tolist() == [d]
+        for i in range(len(H)):
+            Hi, Ji = DenseHermitian(H[i]), DenseHermitian(J[i])
+            assert abs(gaps[i] - spectral_gap(Hi)) <= 1e-12
+            if i == d:
+                with pytest.raises(DegenerateGroundstateError):
+                    adiabatic.groundstate_perturbation_bound(Hi, Ji)
+                continue
+            want_lhs, want_rhs = adiabatic.groundstate_perturbation_bound(Hi, Ji)
+            assert abs(lhs[i] - want_lhs) <= 1e-12
+            assert abs(rhs[i] - want_rhs) <= 1e-12 * max(1.0, abs(want_rhs))  # 1 - 4 eta^2/gap^2 can be large
+
+    @pytest.mark.parametrize("stack, error, match", [
+        (np.zeros((3, 2, 3)), ValueError, "square"),
+        (np.zeros(4), ValueError, "square"),
+        (np.zeros((3, 1, 1)), ValueError, "dim"),
+        (np.array([[[0.0, 1.0], [0.0, 0.0]]]), ValueError, "Hermitian"),
+    ])
+    def test_bad_stack_rejected(self, stack, error, match):
+        with pytest.raises(error, match=match):
+            spectral_gap(stack)
+        with pytest.raises(error, match=match):
+            adiabatic.groundstate_perturbation_bound(stack, stack)
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            adiabatic.groundstate_perturbation_bound(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)))
+
+    def test_gap_formula_on_arrays(self):
+        ov, eta = np.array([0.0, 0.3, 1.0]), np.array([0.5, 0.2, 0.9])
+        gaps = adiabatic.two_projector_gap_formula(ov, eta)
+        assert gaps.tolist() == [adiabatic.two_projector_gap_formula(float(o), float(e)) for o, e in zip(ov, eta)]
+        assert type(adiabatic.two_projector_gap_formula(0.3, 0.2)) is float
 
 
 class TestGates:

@@ -1,10 +1,19 @@
 """Experiment runner: determinism, report format, series files, exit codes."""
 import json
+import math
 
+import numpy as np
 import pytest
 
-from adiagen import cli
-from adiagen.qcore import DegenerateGroundstateError
+from adiagen import adiabatic, cli, sparseham
+from adiagen.qcore import (
+    DegenerateGroundstateError,
+    DenseHermitian,
+    StateVector,
+    spectral_gap,
+    spectral_norm,
+    state_overlap,
+)
 
 
 class TestSeeding:
@@ -184,3 +193,108 @@ def test_gap_formula_minimum_flag_checks_the_dense_gaps(monkeypatch):
     monkeypatch.setattr(cli, "spectral_gap", lambda H: 0.0)
     report = cli.run({"command": "gap-formula", "seed": 1, "trials": 5})
     assert not report.flags["minimum_at_half"]
+
+
+def parent_gap_formula(seed: int, trials: int, dim: int = 8):
+    """gap-formula before its trials ran in stacks: one DenseHermitian and one eigvalsh per trial."""
+    rng = cli.sub_rng(seed, "gap-formula")
+    worst = worst_below_overlap = 0.0
+    for _ in range(trials):
+        a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        alpha = StateVector.from_amplitudes(a, normalize=True)
+        beta = StateVector.from_amplitudes(b, normalize=True)
+        eta = float(rng.uniform(0.05, 0.95))
+        H = DenseHermitian((1 - eta) * adiabatic.projector_hamiltonian(alpha).entries
+                           + eta * adiabatic.projector_hamiltonian(beta).entries)
+        got = spectral_gap(H)
+        ov = abs(state_overlap(alpha, beta))
+        worst = max(worst, abs(got - adiabatic.two_projector_gap_formula(ov, eta)))
+        worst_below_overlap = max(worst_below_overlap, ov - got)
+    return ({"worst_formula_deviation": worst},
+            {"formula_exact": worst <= 1e-9, "minimum_at_half": worst_below_overlap <= 1e-9})
+
+
+def parent_zen_bound(seed: int, trials: int, dim: int = 8):
+    """zen-bound before its trials ran in stacks: two eigh and two SVD norms per trial."""
+    rng = cli.sub_rng(seed, "zen-bound")
+    violations, worst_margin = 0, math.inf
+    for _ in range(trials):
+        A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        H = DenseHermitian((A + A.conj().T) / 2)
+        P = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        P = (P + P.conj().T) / 2
+        scale = float(rng.uniform(1e-4, 0.2)) / max(spectral_norm(P), 1e-12)
+        J = DenseHermitian(H.entries + scale * P)
+        try:
+            lhs, rhs = adiabatic.groundstate_perturbation_bound(H, J)
+        except DegenerateGroundstateError:
+            continue
+        worst_margin = min(worst_margin, lhs - rhs)
+        violations += lhs < rhs
+    return {"violations": violations, "worst_margin": worst_margin}, {"inequality_holds": violations == 0}
+
+
+PARENT_LOOPS = {"gap-formula": parent_gap_formula, "zen-bound": parent_zen_bound}
+
+
+class TestStackedTrials:
+    @pytest.mark.parametrize("trials", [1, 99, 100, 101, 1000])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("command", PARENT_LOOPS)
+    def test_replay_matches_the_per_trial_loop(self, command, seed, trials):
+        report = cli.run({"command": command, "seed": seed, "trials": trials})
+        scalars, flags = PARENT_LOOPS[command](seed, trials)
+        assert report.flags == flags
+        assert report.scalars.keys() == scalars.keys()
+        for key, want in scalars.items():
+            assert abs(report.scalars[key] - want) <= 1e-12, key
+
+    def test_zen_bound_eigh_per_stack(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        assert cli.run({"command": "zen-bound", "seed": 1, "trials": 1000}).ok
+        assert len(shapes) <= 20 and max(shape[0] for shape in shapes) <= 100
+
+    @pytest.mark.parametrize("command", PARENT_LOOPS)
+    def test_large_dim_runs_smaller_stacks(self, command, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        assert cli.run({"command": command, "seed": 1, "trials": 3, "dim": 64}).ok
+        assert {shape[:-2] for shape in shapes} == {(1,)}
+
+
+def test_decompose_check_norm_is_the_rescaled_lam(monkeypatch):
+    """The runner compares pieces with lam, which is ||H|| because random_sparse_hermitian rescaled H to it."""
+    drawn = []
+    draw = cli.random_sparse_hermitian
+    monkeypatch.setattr(cli, "random_sparse_hermitian",
+                        lambda n, D, lam, seed: drawn.append((draw(n, D, lam, seed), lam)) or drawn[-1][0])
+    monkeypatch.setattr(cli, "spectral_norm", None)  # no second norm per instance
+    assert cli.run({"command": "decompose-check", "seed": 1, "instances": 250}).ok
+    assert len(drawn) == 250
+    assert max(abs(spectral_norm(H) - lam) for H, lam in drawn) <= 1e-12
+
+
+def test_decompose_check_flags_a_piece_above_the_norm(monkeypatch):
+    monkeypatch.setattr(sparseham.BlockPiece, "norm", lambda piece: 1.0 + 1e-6)  # ||H|| = lam = 1
+    report = cli.run({"command": "decompose-check", "seed": 1, "instances": 3})
+    assert report.scalars["worst_norm_excess"] == pytest.approx(1e-6, abs=1e-12)
+    assert report.failing() == ["norm_domination"]
+
+
+def test_adiabatic_run_checks_the_condition_once(monkeypatch):
+    calls = []
+    check = adiabatic.check_adiabatic_condition
+    monkeypatch.setattr(adiabatic, "check_adiabatic_condition",
+                        lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
+    assert cli.run({"command": "adiabatic-run", "seed": 1}).ok
+    assert len(calls) == 1
+
+
+def test_markov_spectrum_makes_no_eigh_call(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    report = cli.run({"command": "markov-spectrum", "seed": 1, "trials": 50})
+    assert report.ok

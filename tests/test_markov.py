@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adiagen import markov
-from adiagen.qcore import StateVector, ground_state, spectral_gap, state_overlap
+from adiagen import cli, markov
+from adiagen.qcore import DenseHermitian, StateVector, ground_state, spectral_gap, state_overlap
 
 TWO_STATE = markov.MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
 THREE_STATE = markov.MarkovChain(
@@ -66,6 +68,54 @@ class TestChainHamiltonian:
                                          [1.0, 0.0, 0.0]]))
         with pytest.raises(markov.NotReversibleError):
             markov.chain_hamiltonian(M)
+
+
+@st.composite
+def reversible_chains(draw):
+    """(chain, pi, H, ascending spectrum of H) for markov-spectrum's random chains, N in 2..32."""
+    chain = cli._random_reversible_chain(draw(st.integers(2, 32)),
+                                         np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    pi = markov.stationary(chain)
+    H = markov.chain_hamiltonian(chain, pi)
+    return chain, pi, H, np.linalg.eigvalsh(H.entries)
+
+
+class TestSqrtPiDeviation:
+    @settings(max_examples=150, deadline=None)
+    @given(reversible_chains())
+    def test_bounds_the_dense_groundstate_deviation(self, instance):
+        _, pi, H, spectrum = instance
+        _, g = ground_state(H)
+        dense = float(np.max(np.abs(np.abs(g.amplitudes) - np.sqrt(pi.pi))))
+        assert dense - 1e-12 <= markov.sqrt_pi_deviation(H, pi, spectrum) <= 1e-8
+
+    @settings(max_examples=50, deadline=None)
+    @given(reversible_chains())
+    def test_excited_eigenvector_gives_no_certificate(self, instance):
+        _, pi, H, _ = instance
+        flipped = DenseHermitian(-H.entries)  # |sqrt(pi)> is its top eigenvector
+        assert markov.sqrt_pi_deviation(flipped, pi, np.linalg.eigvalsh(flipped.entries)) == math.inf
+
+    @settings(max_examples=50, deadline=None)
+    @given(reversible_chains(), st.integers(0, 2**32 - 1))
+    def test_perturbed_sqrt_pi_is_flagged(self, instance, seed):
+        _, pi, H, spectrum = instance
+        v = np.sqrt(pi.pi)
+        w = np.random.default_rng(seed).normal(size=v.size)
+        w -= np.dot(w, v) / np.dot(v, v) * v
+        u = v + 1e-6 * w / np.linalg.norm(w)
+        perturbed = markov.StationaryDistribution(u**2 / np.sum(u**2))
+        bound = markov.sqrt_pi_deviation(H, perturbed, spectrum)
+        _, g = ground_state(H)
+        ov = np.vdot(g.amplitudes, np.sqrt(perturbed.pi))
+        assert bound >= np.linalg.norm(ov / abs(ov) * g.amplitudes - np.sqrt(perturbed.pi)) - 1e-12
+        assert bound > 1e-8
+
+    def test_one_state_chain(self):
+        chain = markov.MarkovChain(np.ones((1, 1)))
+        pi = markov.stationary(chain)
+        H = markov.chain_hamiltonian(chain, pi)
+        assert markov.sqrt_pi_deviation(H, pi, np.linalg.eigvalsh(H.entries)) == 0.0
 
 
 class TestSecondGap:
@@ -208,6 +258,16 @@ class TestQsampleSequence:
             phase = np.vdot(got.amplitudes, want.amplitudes)
             assert abs(abs(phase) - 1.0) <= 1e-10
             assert np.max(np.abs(want.amplitudes - phase * got.amplitudes)) <= 1e-10
+
+    def test_schrodinger_mode_checks_the_condition_once(self, monkeypatch):
+        seq, _ = markov.anneal_weights_sequence(2, {(0, 1), (1, 0), (1, 1)}, 3, 0.7)
+        seed, _ = markov.matchings_seed_qsample(2)
+        calls = []
+        check = markov.adiabatic.check_adiabatic_condition
+        monkeypatch.setattr(markov.adiabatic, "check_adiabatic_condition",
+                            lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
+        markov.qsample_sequence(seq, seed, mode="schrodinger", eps=0.1, delta=0.2)
+        assert len(calls) == 1
 
     def test_stationary_once_per_chain(self, monkeypatch):
         seq, _ = markov.anneal_weights_sequence(2, {(0, 1), (1, 0), (1, 1)}, 6, 0.7)
