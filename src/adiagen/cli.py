@@ -123,8 +123,9 @@ def _run_decompose_check(cfg: dict, report: RunReport) -> None:
         pieces = sparseham.decompose(sh)  # reconstruction + disjointness checked inside
         bound = (D + 1) ** 2 * n**6
         max_count_ratio = max(max_count_ratio, len(pieces) / bound)
-        for p in pieces:  # ||H|| = sh.lam: random_sparse_hermitian rescaled H to it
-            worst_norm_excess = max(worst_norm_excess, p.norm() - sh.lam)
+        # A piece's norm is its largest |value|; ||H|| = sh.lam: random_sparse_hermitian rescaled H to it
+        values = np.concatenate([np.zeros(0)] + [p.values for p in pieces])
+        worst_norm_excess = max(worst_norm_excess, float(np.max(np.abs(values), initial=0.0)) - sh.lam)
     report.scalars["instances"] = cfg["instances"]
     report.scalars["max_piece_count_ratio"] = max_count_ratio
     report.scalars["worst_norm_excess"] = worst_norm_excess
@@ -311,16 +312,16 @@ def _run_markov_spectrum(cfg: dict, report: RunReport) -> None:
 def _random_reversible_chain(N: int, rng: np.random.Generator) -> markov.MarkovChain:
     """Metropolis chain on a random connected graph with random weights."""
     w = rng.uniform(0.2, 2.0, size=N)
+    parents = rng.integers(0, np.arange(1, N))  # node i's tree parent, in [0, i)
+    edges = {(j, i) for i, j in enumerate(parents.tolist(), start=1)}
+    for _ in range(N):
+        i, j = sorted(rng.integers(0, N, size=2).tolist())
+        if i != j:
+            edges.add((i, j))
     neighbors = [[] for _ in range(N)]
-    for i in range(1, N):
-        j = int(rng.integers(0, i))
+    for i, j in edges:
         neighbors[i].append(j)
         neighbors[j].append(i)
-    for _ in range(N):
-        i, j = rng.integers(0, N, size=2)
-        if i != j and int(j) not in neighbors[int(i)]:
-            neighbors[int(i)].append(int(j))
-            neighbors[int(j)].append(int(i))
     return markov.metropolis_chain(w, neighbors)
 
 
@@ -364,7 +365,8 @@ def _run_szk_sd(cfg: dict, report: RunReport) -> None:
         expected = "no"
     delta, trials = cfg["delta"], cfg["trials"]
     rng = sub_rng(cfg["seed"], "szk-sd")
-    errors = sum(szk.sd_decider(C0, C1, delta, rng) != expected for _ in range(trials))
+    v, w = szk.qsample_exact(C0), szk.qsample_exact(C1)
+    errors = sum(szk.sd_decider(v, w, delta, rng) != expected for _ in range(trials))
     report.scalars["trials"] = trials
     report.scalars["errors"] = errors
     report.scalars["variation"] = szk.variation(
@@ -378,7 +380,7 @@ def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
     p, g = cfg["p"], cfg["g"]
     rng = sub_rng(cfg["seed"], "szk-dlp")
     c = 1 / 6
-    threshold = szk.dlp_threshold(p, g)
+    family = szk.dlp_family(p, g)
     mismatches = 0
     for _ in range(cfg["instances"]):
         if rng.random() < 0.5:
@@ -386,7 +388,7 @@ def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
         else:
             x = int(rng.integers(p // 2 + 1, p // 2 + int(c * p) + 1))
         y = pow(g, x, p)
-        got = szk.dlp_decider(p, g, y, cfg["shots"], rng, threshold)
+        got = szk.dlp_decider(family, y, cfg["shots"], rng)
         want = szk.dlp_promise_holds(p, g, y)
         if got != want:
             mismatches += 1
@@ -401,9 +403,9 @@ def _run_szk_qr(cfg: dict, report: RunReport) -> None:
     mismatches = 0
     total = 0
     for nn in cfg["moduli"]:
-        threshold = szk.qr_threshold(nn)
+        family = szk.qr_family(nn)
         for x in szk.units(nn):
-            got = szk.qr_decider(nn, x, cfg["shots"], rng, threshold)
+            got = szk.qr_decider(family, x, cfg["shots"], rng)
             want = "residue" if szk.is_residue(x, nn) else "nonresidue"
             total += 1
             if got != want:

@@ -176,13 +176,6 @@ def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
     N = w.size
-    deg = max(len(nb) for nb in neighbors)
-    P = np.zeros((N, N))
-    for i, nb in enumerate(neighbors):
-        for j in nb:
-            P[i, j] += (1.0 / deg) * min(1.0, w[j] / w[i])
-        P[i, i] += 1.0 - P[i].sum()
-    P = 0.5 * np.eye(N) + 0.5 * P
 
     # Connectivity of the proposal graph.
     seen = {0}
@@ -196,6 +189,14 @@ def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]
     if len(seen) != N:
         raise ValueError("proposal graph is disconnected")
 
+    degrees = [len(nb) for nb in neighbors]
+    src = np.repeat(np.arange(N), degrees)
+    dst = np.array([j for nb in neighbors for j in nb], dtype=src.dtype)
+    deg = max(max(degrees), 1)  # a 1-state chain has no moves
+    P = np.zeros((N, N))
+    np.add.at(P, (src, dst), (1.0 / deg) * np.minimum(1.0, w[dst] / w[src]))
+    P[np.diag_indices(N)] += 1.0 - P.sum(axis=1)
+    P = 0.5 * np.eye(N) + 0.5 * P
     return MarkovChain(transition=P)
 
 

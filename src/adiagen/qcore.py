@@ -214,11 +214,32 @@ def state_overlap(psi: StateVector, phi: StateVector) -> complex:
     return complex(np.vdot(psi.amplitudes, phi.amplitudes))
 
 
-def random_sparse_hermitian(n: int, D: int, lam: float, seed: int) -> DenseHermitian:
-    """Random Hermitian test instance: <= D nonzeros per row, norm <= lam.
+def _pair_stubs(stubs: np.ndarray, kept: np.ndarray, N: int, rng: np.random.Generator):
+    """Shuffle the row stubs and join them two by two into off-diagonal pairs (i, j), i < j.
 
-    Deterministic per seed.  Pattern is built greedily respecting per-row
-    budgets, then the matrix is rescaled to spectral norm lam.
+    A pair is kept when it joins two different rows that neither `kept` (keys
+    i*N + j) nor an earlier pair joins already.  Returns the keys kept, `kept`
+    first, and the stubs of the pairs dropped.
+    """
+    stubs = rng.permutation(stubs)
+    m = stubs.size // 2
+    a, b = stubs[0:2 * m:2], stubs[1:2 * m:2]
+    key = np.concatenate((kept, np.minimum(a, b) * N + np.maximum(a, b)))
+    first = np.zeros(key.size, dtype=bool)
+    first[np.unique(key, return_index=True)[1]] = True
+    new = first[kept.size:] & (a != b)
+    return (np.concatenate((kept, key[kept.size:][new])),
+            np.concatenate((a[~new], b[~new], stubs[2 * m:])))
+
+
+def random_sparse_hermitian(n: int, D: int, lam: float, seed: int) -> DenseHermitian:
+    """Random Hermitian test instance: <= D nonzeros per row, norm lam.
+
+    Deterministic per seed.  Each diagonal entry is N(0, 1) with probability
+    1/2.  Each row's remaining slots are stubs, paired at random into
+    off-diagonal entries v ~ N(0, 1) + i N(0, 1) with the mirror v*; the stubs
+    lost to self-pairs and repeats are paired once more.  H is then rescaled
+    to spectral norm lam.  O(N D log(N D)) to draw, plus the norm's SVD.
     """
     if D < 1 or lam <= 0:
         raise ValueError("need D >= 1 and lam > 0")
@@ -227,24 +248,17 @@ def random_sparse_hermitian(n: int, D: int, lam: float, seed: int) -> DenseHermi
         raise ValueError(f"row sparsity D={D} infeasible for dim {N}")
     rng = np.random.default_rng(seed)
     H = np.zeros((N, N), dtype=complex)
-    budget = np.full(N, D, dtype=int)
+    has_diag = rng.random(N) < 0.5
+    d = np.flatnonzero(has_diag)
+    H[d, d] = rng.normal(size=d.size)
 
-    # Diagonal entries cost one slot in a single row.
-    for i in range(N):
-        if budget[i] >= 1 and rng.random() < 0.5:
-            H[i, i] = rng.normal()
-            budget[i] -= 1
-
-    # Off-diagonal: each candidate pair consumes a slot in both rows.
-    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
-    rng.shuffle(pairs)
-    for i, j in pairs:
-        if budget[i] >= 1 and budget[j] >= 1 and rng.random() < 0.7:
-            v = rng.normal() + 1j * rng.normal()
-            H[i, j] = v
-            H[j, i] = v.conjugate()
-            budget[i] -= 1
-            budget[j] -= 1
+    stubs = np.repeat(np.arange(N), D - has_diag)  # one per free slot of each row
+    keys, lost = _pair_stubs(stubs, np.empty(0, dtype=stubs.dtype), N, rng)
+    keys, _ = _pair_stubs(lost, keys, N, rng)
+    i, j = np.divmod(keys, N)
+    v = rng.normal(size=keys.size) + 1j * rng.normal(size=keys.size)
+    H[i, j] = v
+    H[j, i] = v.conj()
 
     norm = spectral_norm(H)
     if norm > 0:

@@ -77,14 +77,14 @@ def sparse_from_dense(H: DenseHermitian, D: int | None = None, lam: float | None
     n = N.bit_length() - 1
     if 1 << n != N:
         raise ValueError("dimension must be a power of two")
-    rows = []
-    for i in range(N):
-        nz = np.flatnonzero(m[i])
-        rows.append(list(zip(nz.tolist(), m[i, nz].tolist())))
-    actual_d = max((len(r) for r in rows), default=0)
+    r, c = np.nonzero(m)  # row-major: each row's columns ascending
+    counts = np.bincount(r, minlength=N)
+    ends = np.cumsum(counts).tolist()
+    entries = list(zip(c.tolist(), m[r, c].tolist()))
+    rows = [entries[a:b] for a, b in zip([0] + ends[:-1], ends)]
     return SparseHamiltonian(
         oracle=RowOracle(n=n, row_fn=lambda i, _rows=rows: _rows[i]),
-        D=D if D is not None else max(actual_d, 1),
+        D=D if D is not None else max(int(counts.max()), 1),
         lam=lam if lam is not None else spectral_norm(H),
     )
 

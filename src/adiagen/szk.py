@@ -138,13 +138,13 @@ def sd_shots(delta: float) -> int:
     return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * half_gap**2)))
 
 
-def sd_decider(C0: ClassicalCircuit, C1: ClassicalCircuit, delta: float,
-               rng: np.random.Generator) -> str:
-    """'yes' (far apart) or 'no' (close), via a batched Hadamard test.
+def sd_decider(v: StateVector, w: StateVector, delta: float, rng: np.random.Generator) -> str:
+    """'yes' (far apart) or 'no' (close), via a batched Hadamard test on the Qsamples |C0>, |C1>.
 
-    Under the SD(3/4, 1/4) promise the error probability is at most delta.
+    `v` and `w` are `qsample_exact(C0)` and `qsample_exact(C1)`, built once for
+    all decisions on the pair.  Under the SD(3/4, 1/4) promise the error
+    probability is at most delta.
     """
-    v, w = qsample_exact(C0), qsample_exact(C1)
     freq = hadamard_test(v, w, sd_shots(delta), rng)
     return "no" if freq > SD_MIDPOINT else "yes"
 
@@ -231,24 +231,49 @@ def dlp_window_sizes(p: int) -> tuple[int, int]:
     return 1 << (lg - 1), 1 << (lg - 3)
 
 
-def dlp_states(p: int, g: int, y: int) -> tuple[StateVector, StateVector]:
-    """Qsamples of the mid-window reference circuit and of C_{y, .}.
+@dataclass(frozen=True, eq=False)
+class DLPFamily:
+    """The fixed part of every discrete-log decision on (p, g), built once by `dlp_family`.
 
-    Supports are {g^(ceil(p/2)+1+i)} over 2^(floor(log p)-1) exponents and
-    {y g^i} over 2^(floor(log p)-3) exponents; both uniform since the
-    exponent map is injective within a window.
+    `powers` is g^k mod p for k in [0, p); `mid` is the Qsample of the
+    mid-window reference circuit, uniform on {g^(ceil(p/2)+1+i)} over
+    2^(floor(log p)-1) exponents; `threshold` is `dlp_threshold(p, g)`.
+    """
+
+    p: int
+    g: int
+    powers: np.ndarray
+    mid: StateVector
+    threshold: float
+
+    def state(self, y: int) -> StateVector:
+        """Qsample of C_{y, .}: uniform on {y g^i} over 2^(floor(log p)-3) exponents."""
+        _, tp_size = dlp_window_sizes(self.p)
+        return _uniform_support_state(self.powers[:tp_size] * (y % self.p) % self.p, self.mid.dim)
+
+
+def dlp_family(p: int, g: int) -> DLPFamily:
+    """Check that p is a prime and g generates Z_p^*, and build the family's fixed states once.
+
+    Both supports are uniform since the exponent map is injective within a window.
     """
     if p > 1 << 16:
-        raise ValueError("modulus too large for exhaustive construction")
+        raise ValueError(f"p = {p} too large for exhaustive construction")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     powers = _power_table(g, p)  # also gives is_generator's orbit check
-    if not is_prime(p) or not _orbit_is_full(powers, p):
-        raise ValueError("g must generate Z_p^*")
-    t_size, tp_size = dlp_window_sizes(p)
+    if not _orbit_is_full(powers, p):
+        raise ValueError(f"g must generate Z_p^*, got g = {g} for p = {p}")
+    t_size, _ = dlp_window_sizes(p)
     mid_base = pow(g, p // 2 + 1 + 1, p)  # g^(ceil(p/2)+1) for odd p
-    mid_support = powers[:t_size] * mid_base % p
-    low_support = powers[:tp_size] * (y % p) % p
-    dim = 1 << (p - 1).bit_length()
-    return _uniform_support_state(mid_support, dim), _uniform_support_state(low_support, dim)
+    mid = _uniform_support_state(powers[:t_size] * mid_base % p, 1 << (p - 1).bit_length())
+    return DLPFamily(p=p, g=g, powers=powers, mid=mid, threshold=dlp_threshold(p, g))
+
+
+def dlp_states(p: int, g: int, y: int) -> tuple[StateVector, StateVector]:
+    """Qsamples of the mid-window reference circuit and of C_{y, .}, built for this one instance."""
+    family = dlp_family(p, g)
+    return family.mid, family.state(y)
 
 
 def dlp_min_high_overlap(p: int, g: int, c: float = 1 / 6) -> float:
@@ -277,15 +302,13 @@ def dlp_threshold(p: int, g: int) -> float:
     return 0.5 + dlp_min_high_overlap(p, g) / 4.0
 
 
-def dlp_decider(p: int, g: int, y: int, shots: int, rng: np.random.Generator,
-                threshold: float) -> str:
+def dlp_decider(family: DLPFamily, y: int, shots: int, rng: np.random.Generator) -> str:
     """'low' or 'high' by a Hadamard test between the two window Qsamples.
 
-    `threshold` is `dlp_threshold(p, g)`, computed once for all decisions on (p, g).
+    `family` is `dlp_family(p, g)`, built once for all decisions on (p, g).
     """
-    v, w = dlp_states(p, g, y)
-    freq = hadamard_test(v, w, shots, rng)
-    return "high" if freq > threshold else "low"
+    freq = hadamard_test(family.mid, family.state(y), shots, rng)
+    return "high" if freq > family.threshold else "low"
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +327,23 @@ def _check_qr_modulus(nn: int) -> None:
     semiprime_factors(nn)
 
 
-def qr_states(nn: int, x: int) -> tuple[StateVector, StateVector]:
-    """Qsamples of C_1 and C_x for the squaring circuit modulo a semiprime."""
-    _check_qr_modulus(nn)
+def _qr_state(nn: int, a: int) -> StateVector:
+    """Qsample of C_a: r -> r^2 a mod nn, padded to a power-of-two dimension."""
+    amps = np.zeros(1 << (nn - 1).bit_length(), dtype=complex)
+    amps[:nn] = np.sqrt(qr_distribution(nn, a))
+    return StateVector.from_amplitudes(amps, normalize=True)
+
+
+def _check_unit(x: int, nn: int) -> None:
     if math.gcd(x, nn) != 1:
         raise ValueError("x must be a unit modulo nn")
-    dim = 1 << (nn - 1).bit_length()
 
-    def state(a: int) -> StateVector:
-        amps = np.zeros(dim, dtype=complex)
-        amps[:nn] = np.sqrt(qr_distribution(nn, a))
-        return StateVector.from_amplitudes(amps, normalize=True)
 
-    return state(1), state(x)
+def qr_states(nn: int, x: int) -> tuple[StateVector, StateVector]:
+    """Qsamples of C_1 and C_x for the squaring circuit modulo a semiprime, built for this one instance."""
+    _check_qr_modulus(nn)
+    _check_unit(x, nn)
+    return _qr_state(nn, 1), _qr_state(nn, x)
 
 
 def qr_nonresidue_max_overlap(nn: int) -> float:
@@ -334,11 +361,33 @@ def qr_threshold(nn: int) -> float:
     return (1.0 + (1.0 + qr_nonresidue_max_overlap(nn)) / 2.0) / 2.0
 
 
-def qr_decider(nn: int, x: int, shots: int, rng: np.random.Generator, threshold: float) -> str:
+@dataclass(frozen=True, eq=False)
+class QRFamily:
+    """The fixed part of every quadratic-residuosity decision modulo nn, built once by `qr_family`.
+
+    `c1` is the Qsample of C_1; `threshold` is `qr_threshold(nn)`.
+    """
+
+    nn: int
+    c1: StateVector
+    threshold: float
+
+    def state(self, x: int) -> StateVector:
+        """Qsample of C_x; x must be a unit."""
+        _check_unit(x, self.nn)
+        return _qr_state(self.nn, x)
+
+
+def qr_family(nn: int) -> QRFamily:
+    """Check that nn is a semiprime and build |C_1> and the threshold once."""
+    _check_qr_modulus(nn)
+    return QRFamily(nn=nn, c1=_qr_state(nn, 1), threshold=qr_threshold(nn))
+
+
+def qr_decider(family: QRFamily, x: int, shots: int, rng: np.random.Generator) -> str:
     """'residue' or 'nonresidue' via a Hadamard test against C_1.
 
-    `threshold` is `qr_threshold(nn)`, computed once for all decisions modulo nn.
+    `family` is `qr_family(nn)`, built once for all decisions modulo nn.
     """
-    c1, cx = qr_states(nn, x)
-    freq = hadamard_test(c1, cx, shots, rng)
-    return "residue" if freq > threshold else "nonresidue"
+    freq = hadamard_test(family.c1, family.state(x), shots, rng)
+    return "residue" if freq > family.threshold else "nonresidue"

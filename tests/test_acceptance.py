@@ -19,6 +19,7 @@ from adiagen.qcore import (
     spectral_norm,
     state_overlap,
 )
+from greedy_sparse_hermitian import greedy_sparse_hermitian
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -30,14 +31,15 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-def test_01_decomposition_exactness():
+def _decomposition_bounds(generator):
+    """Criterion 01 on 50 instances drawn by `generator`: (max piece-count ratio, worst norm excess)."""
     rng = np.random.default_rng(1001)
     worst_excess = 0.0
     max_ratio = 0.0
     for _ in range(50):
         n = int(rng.integers(3, 7))
         D = int(rng.integers(2, 7))
-        H = random_sparse_hermitian(n, D, 1.0, int(rng.integers(1 << 31)))
+        H = generator(n, D, 1.0, int(rng.integers(1 << 31)))
         sh = sparseham.sparse_from_dense(H, D=D, lam=1.0)
         pieces = sparseham.decompose(sh)
         # decompose() itself raises unless the piece sum reconstructs H
@@ -50,9 +52,20 @@ def test_01_decomposition_exactness():
         norm_h = spectral_norm(H)
         for p in pieces:
             worst_excess = max(worst_excess, p.norm() - norm_h)
+    return max_ratio, worst_excess
+
+
+def test_01_decomposition_exactness():
+    max_ratio, worst_excess = _decomposition_bounds(random_sparse_hermitian)
     ok = max_ratio <= 1.0 and worst_excess <= 1e-12
     report(1, "decomposition-exactness", ok,
            f"50 instances, count_ratio<={max_ratio:.3g}, norm_excess<={worst_excess:.3g}")
+
+
+def test_01_bounds_hold_on_the_greedy_instances():
+    """The same bounds on the instances of the greedy generator random_sparse_hermitian replaced."""
+    max_ratio, worst_excess = _decomposition_bounds(greedy_sparse_hermitian)
+    assert max_ratio <= 1.0 and worst_excess <= 1e-12
 
 
 def test_02_trotter_error_law():
@@ -274,8 +287,10 @@ def test_09_sd_decider_thresholds():
         szk.qsample_exact(close0), szk.qsample_exact(close1), shots, rng)
     sigma = math.sqrt(0.25 / shots)  # worst-case binomial sigma
     freq_ok = (freq_far <= 0.831 + 3 * sigma and freq_close >= 0.875 - 3 * sigma)
-    errors = sum(szk.sd_decider(far0, far1, 0.01, rng) != "yes" for _ in range(50))
-    errors += sum(szk.sd_decider(close0, close1, 0.01, rng) != "no" for _ in range(50))
+    far = szk.qsample_exact(far0), szk.qsample_exact(far1)
+    close = szk.qsample_exact(close0), szk.qsample_exact(close1)
+    errors = sum(szk.sd_decider(*far, 0.01, rng) != "yes" for _ in range(50))
+    errors += sum(szk.sd_decider(*close, 0.01, rng) != "no" for _ in range(50))
     ok = freq_ok and errors <= 1
     report(9, "sd-decider-thresholds", ok,
            f"far freq={freq_far:.4f} (<=0.831+3s), close freq={freq_close:.4f} "
@@ -286,8 +301,9 @@ def test_10_number_theoretic_deciders():
     rng = np.random.default_rng(1010)
     qr_mismatches = qr_total = 0
     for nn in (15, 21, 33):
+        family = szk.qr_family(nn)
         for x in szk.units(nn):
-            got = szk.qr_decider(nn, x, 4000, rng, szk.qr_threshold(nn))
+            got = szk.qr_decider(family, x, 4000, rng)
             want = "residue" if szk.is_residue(x, nn) else "nonresidue"
             qr_total += 1
             qr_mismatches += got != want
@@ -295,6 +311,7 @@ def test_10_number_theoretic_deciders():
     c = 1 / 6
     for p, g in ((251, 6), (509, 2)):
         assert szk.is_generator(g, p)
+        family = szk.dlp_family(p, g)
         for _ in range(25):
             if rng.random() < 0.5:
                 x = int(rng.integers(1, int(c * p) + 1))
@@ -303,7 +320,7 @@ def test_10_number_theoretic_deciders():
             y = pow(g, x, p)
             want = szk.dlp_promise_holds(p, g, y)
             assert want is not None
-            dlp_mismatches += szk.dlp_decider(p, g, y, 4000, rng, szk.dlp_threshold(p, g)) != want
+            dlp_mismatches += szk.dlp_decider(family, y, 4000, rng) != want
     ok = qr_mismatches == 0 and dlp_mismatches == 0
     report(10, "number-theoretic-deciders", ok,
            f"qr {qr_total} units 0 mismatches={qr_mismatches == 0}, "

@@ -1,6 +1,7 @@
 """Experiment runner: determinism, report format, series files, exit codes."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,8 @@ REJECTED = {
     "markov-max-states-2": (["markov-spectrum", "--max-states", "2"], None, None, 2, "max_states"),
     "szk-dlp-p-4": (["szk-dlp", "--p", "4"], None, None, 2, "p must be"),
     "szk-dlp-p-7": (["szk-dlp", "--p", "7"], None, None, 2, "p must be"),
+    "szk-dlp-composite-p": (["szk-dlp", "--p", "9", "--g", "2"], None, None, 2, "p must be prime"),
+    "szk-dlp-g-not-generator": (["szk-dlp", "--p", "4099", "--g", "4"], None, None, 2, "g must generate"),
     "decompose-instances-0": (["decompose-check", "--instances", "0"], None, None, 2, "instances"),
     "gap-formula-trials-0": (["gap-formula", "--trials", "0"], None, None, 2, "trials"),
     "zen-bound-trials-0": (["zen-bound", "--trials", "0"], None, None, 2, "trials"),
@@ -186,6 +189,12 @@ def test_rejected_run_exits_with_one_line(argv, config, patch, code, named, tmp_
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_passes_at_its_defaults(command, capsys):
+    assert cli.main([command, "--seed", "1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_gap_formula_minimum_flag_checks_the_dense_gaps(monkeypatch):
@@ -279,7 +288,14 @@ def test_decompose_check_norm_is_the_rescaled_lam(monkeypatch):
 
 
 def test_decompose_check_flags_a_piece_above_the_norm(monkeypatch):
-    monkeypatch.setattr(sparseham.BlockPiece, "norm", lambda piece: 1.0 + 1e-6)  # ||H|| = lam = 1
+    decompose = sparseham.decompose
+
+    def inflated(sh):  # one piece of 2x2 blocks, its complex values scaled to norm 1 + 1e-6 > ||H|| = lam = 1
+        *rest, last = decompose(sh)
+        assert last.color.k > 1
+        return [*rest, replace(last, values=last.values / np.max(np.abs(last.values)) * (1 + 1e-6))]
+
+    monkeypatch.setattr(sparseham, "decompose", inflated)
     report = cli.run({"command": "decompose-check", "seed": 1, "instances": 3})
     assert report.scalars["worst_norm_excess"] == pytest.approx(1e-6, abs=1e-12)
     assert report.failing() == ["norm_domination"]

@@ -177,6 +177,64 @@ class TestMetropolis:
         with pytest.raises(ValueError):
             markov.metropolis_chain([1.0, 1.0], [[], []])
 
+    def test_one_state_chain(self):
+        assert np.array_equal(markov.metropolis_chain([2.0], [[]]).transition, [[1.0]])
+
+
+def loop_metropolis_chain(w, neighbors):
+    """The transition matrix `metropolis_chain` built with a Python loop over each row's neighbours."""
+    w = np.asarray(w, dtype=float)
+    N = w.size
+    deg = max(len(nb) for nb in neighbors)
+    P = np.zeros((N, N))
+    for i, nb in enumerate(neighbors):
+        for j in nb:
+            P[i, j] += (1.0 / deg) * min(1.0, w[j] / w[i])
+        P[i, i] += 1.0 - P[i].sum()
+    return 0.5 * np.eye(N) + 0.5 * P
+
+
+def loop_random_reversible_chain(N, rng):
+    """`cli._random_reversible_chain` with one scalar draw per tree parent and list membership."""
+    w = rng.uniform(0.2, 2.0, size=N)
+    neighbors = [[] for _ in range(N)]
+    for i in range(1, N):
+        j = int(rng.integers(0, i))
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    for _ in range(N):
+        i, j = (int(v) for v in rng.integers(0, N, size=2))
+        if i != j and j not in neighbors[i]:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+    return loop_metropolis_chain(w, neighbors)
+
+
+class TestChainsFromArrays:
+    """The array-built chains against the loops they replaced: bit-identical matrices, the same random stream."""
+
+    @pytest.mark.parametrize("N", range(2, 40))
+    def test_random_reversible_chain(self, N):
+        for seed in range(30):
+            rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(cli._random_reversible_chain(N, rng).transition,
+                                  loop_random_reversible_chain(N, loop_rng))
+            assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_anneal_sequence(self, n):
+        target = {(u, v) for u in range(n) for v in range(n)} - {(0, 0)}
+        seq, space = markov.anneal_weights_sequence(n, target, 20, 0.7)
+        neighbors = markov.matching_neighbors(space)
+        for k, chain in enumerate(seq.chains):
+            w = [markov.matching_weight(space, m, 0.7**k) for m in space.states]
+            assert np.array_equal(chain.transition, loop_metropolis_chain(w, neighbors))
+
+    def test_repeated_neighbour_counts_twice(self):
+        nb = [[1, 1, 2], [0, 0], [0]]
+        w = [1.0, 2.0, 0.5]
+        assert np.array_equal(markov.metropolis_chain(w, nb).transition, loop_metropolis_chain(w, nb))
+
 
 class TestSlowVariation:
     def test_constant_sequence(self):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiagen.qcore import (
     DegenerateGroundstateError,
@@ -222,3 +224,28 @@ class TestRandomSparseHermitian:
             counts = np.count_nonzero(H.entries, axis=1)
             assert np.max(counts) <= 3
             assert spectral_norm(H) <= 2.0 + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 128), st.floats(0.1, 4.0), st.integers(0, 2**32 - 1))
+    def test_contract(self, n, D, lam, seed):
+        """<= D nonzeros per row, exactly Hermitian, norm lam (unless empty), the same H for the same seed."""
+        D = min(D, 1 << n)
+        H = random_sparse_hermitian(n, D, lam, seed).entries
+        assert np.max(np.count_nonzero(H, axis=1)) <= D
+        assert np.array_equal(H, H.conj().T)
+        assert not H.any() or abs(spectral_norm(H) - lam) <= 1e-12 * lam
+        assert np.array_equal(H, random_sparse_hermitian(n, D, lam, seed).entries)
+
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_one_qubit(self, D):
+        draws = [random_sparse_hermitian(1, D, 1.0, seed).entries for seed in range(50)]
+        for H in draws:
+            assert H.shape == (2, 2) and np.max(np.count_nonzero(H, axis=1)) <= D
+            assert np.array_equal(H, H.conj().T)
+            assert not H.any() or abs(spectral_norm(H) - 1.0) <= 1e-12
+        assert sum(H.any() for H in draws) >= 40  # empty only when no diagonal and no pair is drawn
+
+    @pytest.mark.parametrize("n, D, lam", [(1, 3, 1.0), (3, 9, 1.0), (2, 0, 1.0), (2, 2, 0.0), (2, 2, -1.0)])
+    def test_infeasible_rejected(self, n, D, lam):
+        with pytest.raises(ValueError):
+            random_sparse_hermitian(n, D, lam, seed=1)

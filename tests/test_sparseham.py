@@ -1,4 +1,5 @@
 """Coloring decomposition and symmetric product-formula simulation."""
+import functools
 import math
 import tempfile
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiagen import sparseham
+from adiagen import cli, sparseham
 from adiagen.qcore import (
     DenseHermitian,
     matrix_exponential,
@@ -33,6 +34,7 @@ from adiagen.sparseham import (
     trotter_step,
     trotter_unitary,
 )
+from greedy_sparse_hermitian import greedy_sparse_hermitian
 
 
 # Random row-sparse instances of 1 to 3 qubits: (n, D, seed), D clamped to the dimension.
@@ -360,3 +362,50 @@ class TestCooRoundTrip:
         path.write_text("0 1 1.0 0.0\n")
         with pytest.raises(InconsistentOracleError):
             load_coo(path)
+
+
+@functools.cache
+def decompose_check_draws(generator):
+    """The 250 (D, H) that `decompose-check` draws at seed 1, drawn by `generator`."""
+    rng = cli.sub_rng(1, "decompose-instances")
+    draws = []
+    for _ in range(250):
+        n, D = int(rng.integers(3, 7)), int(rng.integers(2, 7))
+        draws.append((D, generator(n, D, 1.0, int(rng.integers(1 << 31)))))
+    return tuple(draws)
+
+
+class TestInstances:
+    def test_as_heavy_as_the_greedy_generator(self):
+        """Nonzeros per row and the decompose-check pieces, over its 250 seed-1 draws, within 2% of the greedy's."""
+        def fill_and_pieces(generator):
+            draws = decompose_check_draws(generator)
+            nnz = sum(np.count_nonzero(H.entries) for _, H in draws)
+            rows = sum(H.dim for _, H in draws)
+            pieces = sum(len(decompose(sparse_from_dense(H, D=D, lam=1.0))) for D, H in draws)
+            return nnz / rows, pieces
+
+        (fill, pieces), (greedy_fill, greedy_pieces) = map(
+            fill_and_pieces, (random_sparse_hermitian, greedy_sparse_hermitian))
+        assert (round(greedy_fill, 3), greedy_pieces) == (3.865, 9707)
+        assert abs(fill / greedy_fill - 1) <= 0.02
+        assert abs(pieces / greedy_pieces - 1) <= 0.02
+
+    @pytest.mark.parametrize("generator", [random_sparse_hermitian, greedy_sparse_hermitian])
+    def test_sparse_from_dense_matches_the_row_loop(self, generator):
+        """One np.nonzero split by row counts gives the rows a flatnonzero loop over each row gives."""
+        for _, H in decompose_check_draws(generator)[:100]:
+            sh = sparse_from_dense(H)
+            m = H.entries
+            for i in range(H.dim):
+                nz = np.flatnonzero(m[i])
+                assert sh.oracle.row_fn(i) == list(zip(nz.tolist(), m[i, nz].tolist()))
+            assert sh.D == max(np.count_nonzero(m, axis=1).max(), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances)
+    def test_sparse_from_dense_rows(self, H):
+        sh = sparse_from_dense(H)
+        for i in range(H.dim):
+            nz = np.flatnonzero(H.entries[i])
+            assert sh.oracle.row_fn(i) == list(zip(nz.tolist(), H.entries[i, nz].tolist()))

@@ -109,15 +109,15 @@ class TestSDDecider:
         assert szk.SD_LOW_THRESHOLD < szk.SD_MIDPOINT < szk.SD_HIGH_THRESHOLD
 
     def test_identical_circuits_close(self):
-        C = szk.circuit_from_table(3, 2, [x % 4 for x in range(8)])
+        v = szk.qsample_exact(szk.circuit_from_table(3, 2, [x % 4 for x in range(8)]))
         rng = np.random.default_rng(3)
-        assert szk.sd_decider(C, C, 0.01, rng) == "no"
+        assert szk.sd_decider(v, v, 0.01, rng) == "no"
 
     def test_disjoint_circuits_far(self):
         C0 = szk.circuit_from_table(3, 2, [x % 2 for x in range(8)])
         C1 = szk.circuit_from_table(3, 2, [2 + x % 2 for x in range(8)])
         rng = np.random.default_rng(4)
-        assert szk.sd_decider(C0, C1, 0.01, rng) == "yes"
+        assert szk.sd_decider(szk.qsample_exact(C0), szk.qsample_exact(C1), 0.01, rng) == "yes"
 
     def test_engineered_far_pair(self):
         # p = (13/16, 3/16, 0, 0), q = (0, 3/16, 13/16, 0): variation 13/16.
@@ -126,7 +126,8 @@ class TestSDDecider:
         d = szk.variation(szk.distribution_of(C0), szk.distribution_of(C1))
         assert d == pytest.approx(13 / 16)
         rng = np.random.default_rng(5)
-        wins = sum(szk.sd_decider(C0, C1, 0.01, rng) == "yes" for _ in range(100))
+        v, w = szk.qsample_exact(C0), szk.qsample_exact(C1)
+        wins = sum(szk.sd_decider(v, w, 0.01, rng) == "yes" for _ in range(100))
         assert wins >= 99
 
     def test_promise_referee(self):
@@ -195,20 +196,20 @@ class TestDLP:
         p, g = 251, 6
         x = p // 2 + 2
         rng = np.random.default_rng(7)
-        wins = sum(szk.dlp_decider(p, g, pow(g, x, p), 4000, rng, szk.dlp_threshold(p, g)) == "high"
-                   for _ in range(100))
+        family = szk.dlp_family(p, g)
+        wins = sum(szk.dlp_decider(family, pow(g, x, p), 4000, rng) == "high" for _ in range(100))
         assert wins >= 99
 
     def test_decider_low_instance(self):
         p, g = 251, 6
         rng = np.random.default_rng(8)
-        assert szk.dlp_decider(p, g, pow(g, 3, p), 4000, rng, szk.dlp_threshold(p, g)) == "low"
+        assert szk.dlp_decider(szk.dlp_family(p, g), pow(g, 3, p), 4000, rng) == "low"
 
     def test_repeated_seed_deterministic(self):
         p, g = 251, 6
         y = pow(g, 3, p)
-        a = szk.dlp_decider(p, g, y, 4000, np.random.default_rng(9), szk.dlp_threshold(p, g))
-        b = szk.dlp_decider(p, g, y, 4000, np.random.default_rng(9), szk.dlp_threshold(p, g))
+        a = szk.dlp_decider(szk.dlp_family(p, g), y, 4000, np.random.default_rng(9))
+        b = szk.dlp_decider(szk.dlp_family(p, g), y, 4000, np.random.default_rng(9))
         assert a == b
 
     def test_promise_referee(self):
@@ -241,9 +242,10 @@ class TestQR:
 
     def test_decider_matches_referee_mod_15(self):
         rng = np.random.default_rng(10)
+        family = szk.qr_family(15)
         for x in szk.units(15):
             want = "residue" if szk.is_residue(x, 15) else "nonresidue"
-            assert szk.qr_decider(15, x, 4000, rng, szk.qr_threshold(15)) == want
+            assert szk.qr_decider(family, x, 4000, rng) == want
 
     def test_nonunit_rejected(self):
         with pytest.raises(ValueError):
@@ -377,16 +379,53 @@ class TestThresholdOncePerModulus:
         replays = []
 
         def recording(*args):
-            *head, rng, threshold = args
+            family, x, shots, rng = args
+            modulus = (family.nn,) if command == "szk-qr" else (family.p, family.g)
             replay = np.random.default_rng()
             replay.bit_generator.state = rng.bit_generator.state
-            replays.append(((decider(*args), threshold), parent_decider(*head, replay)))
+            replays.append(((decider(*args), family.threshold), parent_decider(*modulus, x, shots, replay)))
             return replays[-1][0][0]
 
         monkeypatch.setattr(szk, name, recording)
         cli.run({"command": command, "seed": seed, **params})
         assert len(replays) == decisions
         assert all(got == want for got, want in replays)
+
+
+class TestFixedWorkOncePerRun:
+    """Each szk command builds its fixed Qsamples once per run, not once per decision."""
+
+    def test_szk_sd_builds_two_qsamples(self, monkeypatch):
+        calls = []
+        qsample = szk.qsample_exact
+        monkeypatch.setattr(szk, "qsample_exact", lambda C: calls.append(C) or qsample(C))
+        assert cli.run({"command": "szk-sd", "seed": 1, "trials": 1000}).ok
+        assert len(calls) == 2
+
+    def test_szk_dlp_builds_one_power_table(self, monkeypatch):
+        calls = []
+        table = szk._power_table
+        monkeypatch.setattr(szk, "_power_table", lambda g, p: calls.append((g, p)) or table(g, p))
+        assert cli.run({"command": "szk-dlp", "seed": 1, "p": 4099, "g": 2, "instances": 250}).ok
+        assert calls == [(2, 4099)]
+
+    def test_szk_qr_builds_c1_once_per_modulus(self, monkeypatch):
+        calls = []
+        state = szk._qr_state
+        monkeypatch.setattr(szk, "_qr_state", lambda nn, a: calls.append((nn, a)) or state(nn, a))
+        report = cli.run({"command": "szk-qr", "seed": 1, "moduli": BENCHMARK_MODULI})
+        assert report.ok and report.scalars["instances"] == 672
+        assert len(calls) == len(BENCHMARK_MODULI) + 672  # |C_1> per modulus, |C_x> per unit; the parent: 2 x 672
+
+    def test_family_checks_its_modulus(self):
+        with pytest.raises(ValueError, match="p must be prime"):
+            szk.dlp_family(9, 2)
+        with pytest.raises(ValueError, match="g must generate"):
+            szk.dlp_family(4099, 4)
+        with pytest.raises(ValueError):
+            szk.qr_family(45)
+        with pytest.raises(ValueError, match="unit"):
+            szk.qr_family(15).state(5)
 
 
 class TestParsing:
