@@ -36,7 +36,7 @@ class HamiltonianPath:
     """Jagged path through the projectors I - |a_j><a_j|, with a_j reached at s = j/(L-1).
 
     Each segment (1-eta)(I-|a><a|) + eta(I-|b><b|) is the identity outside
-    span{a, b}, so the methods are O(N) closed forms; `evaluate` is their dense oracle.
+    span{a, b}, so the methods are O(N) closed forms.
     """
 
     states: np.ndarray  # L x N: the groundstates a_0 ... a_{L-1}
@@ -49,10 +49,6 @@ class HamiltonianPath:
         a, b = self.states[j], self.states[j + 1]
         ov = complex(np.vdot(a, b))
         return a, b, x - j, ov, two_projector_gap_formula(abs(ov), x - j)
-
-    def evaluate(self, s: float) -> DenseHermitian:
-        a, b, eta, _, _ = self._segment(s)
-        return DenseHermitian(np.eye(a.size) - (1 - eta) * np.outer(a, a.conj()) - eta * np.outer(b, b.conj()))
 
     def gap(self, s: float) -> float:
         return self._segment(s)[4]
@@ -141,23 +137,21 @@ class ConditionReport:
     max_ratio: float
     holds: bool
     worst_s: float
-    min_gap: float
     max_derivative_norm: float
 
 
-def check_adiabatic_condition(path: HamiltonianPath, sched: Schedule, grid: int = 64) -> ConditionReport:
-    """Worst ||dH/ds|| / gap^2 over a grid; the condition holds iff T*eps covers it."""
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    max_ratio, worst_s = 0.0, 0.0
-    min_gap, max_deriv = math.inf, 0.0
-    for s in np.linspace(1e-5, 1 - 1e-5, grid):  # open grid; the pinned reference ratios were taken on it
+CONDITION_GRID = 64  # points of the open s-grid; the pinned reference ratios were taken on it
+
+
+def check_adiabatic_condition(path: HamiltonianPath, sched: Schedule) -> ConditionReport:
+    """Worst ||dH/ds|| / gap^2 over an open grid; the condition holds iff T*eps covers it."""
+    max_ratio, worst_s, max_deriv = 0.0, 0.0, 0.0
+    for s in np.linspace(1e-5, 1 - 1e-5, CONDITION_GRID):
         s = float(s)
         gap = path.gap(s)
         if gap < DEGENERACY_TOL:
             raise DegenerateGroundstateError(f"path degenerate at s={s}: gap {gap}")
         deriv = path.derivative_norm(s)
-        min_gap = min(min_gap, gap)
         max_deriv = max(max_deriv, deriv)
         ratio = deriv / gap**2
         if ratio > max_ratio:
@@ -166,7 +160,6 @@ def check_adiabatic_condition(path: HamiltonianPath, sched: Schedule, grid: int 
         max_ratio=max_ratio,
         holds=sched.T * sched.eps >= max_ratio,
         worst_s=worst_s,
-        min_gap=min_gap,
         max_derivative_norm=max_deriv,
     )
 
@@ -354,13 +347,15 @@ def zeno_evolve(path: HamiltonianPath, R: int, psi0: StateVector,
     )
 
 
-def zeno_success_samples(step_probs: np.ndarray, shots: int,
-                         rng: np.random.Generator, chunk: int = 512) -> int:
+ZENO_SHOT_CHUNK = 512  # trajectories drawn per array
+
+
+def zeno_success_samples(step_probs: np.ndarray, shots: int, rng: np.random.Generator) -> int:
     """Number of all-success trajectories out of `shots` (vectorized, chunked)."""
     total = 0
     done = 0
     while done < shots:
-        k = min(chunk, shots - done)
+        k = min(ZENO_SHOT_CHUNK, shots - done)
         u = rng.random((k, step_probs.size))
         total += int(np.sum(np.all(u < step_probs[None, :], axis=1)))
         done += k
@@ -394,13 +389,6 @@ def groundstate_perturbation_bound(H, J):
 # ---------------------------------------------------------------------------
 # Gate sequences and the circuit-to-path compiler
 
-_SQRT2_INV = 1.0 / math.sqrt(2.0)
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-
-BASE_GATES = ("H", "X", "CCX")
-SQRT_GATES = {"H": "SH", "X": "SX", "CCX": "SCCX"}
-
 
 def _sqrt_pm1(U: np.ndarray) -> np.ndarray:
     """Square root of a +-1-eigenvalue unitary: 1 -> 1, -1 -> i."""
@@ -409,21 +397,14 @@ def _sqrt_pm1(U: np.ndarray) -> np.ndarray:
     return (vecs * roots) @ vecs.conj().T
 
 
-_SH2 = _sqrt_pm1(_H2)
-_SX2 = _sqrt_pm1(_X2)
+_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
-
-def sqrt_gate(kind: str) -> UnitaryMatrix:
-    """Principal square root of H, X or CCX (eigenvalue -1 mapped to i)."""
-    if kind == "H":
-        return UnitaryMatrix(_SH2)
-    if kind == "X":
-        return UnitaryMatrix(_SX2)
-    if kind == "CCX":
-        U = np.eye(8, dtype=complex)
-        U[6:8, 6:8] = _SX2
-        return UnitaryMatrix(U)
-    raise ValueError(f"unknown gate kind {kind!r}")
+# name -> (2x2 unitary on the target, qubit count).  A 3-qubit gate acts on its
+# last qubit when the first two are 1.  "S" + name is the principal square root
+# of a base gate; compile_circuit doubles each base gate into two of them.
+GATES = {"H": (np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / math.sqrt(2.0)), 1),
+         "X": (_X2, 1), "CCX": (_X2, 3)}
+GATES.update({"S" + name: (_sqrt_pm1(U), k) for name, (U, k) in GATES.items()})
 
 
 @dataclass(frozen=True)
@@ -433,15 +414,15 @@ class GateSequence:
 
     def __post_init__(self):
         for name, qubits in self.gates:
-            if name not in ("H", "X", "CCX", "SH", "SX", "SCCX"):
+            if name not in GATES:
                 raise ValueError(f"unsupported gate {name!r}")
-            want = 3 if name.endswith("CCX") else 1
+            want = GATES[name][1]
             if len(qubits) != want:
                 raise ValueError(f"{name} takes {want} qubits, got {qubits}")
             if any(q < 0 or q >= self.n for q in qubits):
                 raise ValueError(f"qubit index out of range in {name} {qubits}")
-            if want == 3 and len(set(qubits)) != 3:
-                raise ValueError(f"CCX qubits must be distinct: {qubits}")
+            if len(set(qubits)) != want:
+                raise ValueError(f"{name} qubits must be distinct: {qubits}")
 
 
 def parse_gate_lines(n: int, text: str) -> GateSequence:
@@ -456,51 +437,31 @@ def parse_gate_lines(n: int, text: str) -> GateSequence:
     return GateSequence(n=n, gates=tuple(gates))
 
 
-def _apply_1q(state: np.ndarray, n: int, U: np.ndarray, q: int) -> np.ndarray:
-    psi = state.reshape([2] * n)
-    psi = np.moveaxis(psi, q, 0)
-    psi = np.tensordot(U, psi, axes=([1], [0]))
-    return np.moveaxis(psi, 0, q).reshape(-1)
-
-
-def _apply_ccx(state: np.ndarray, n: int, U_target: np.ndarray, c1: int, c2: int, tq: int) -> np.ndarray:
-    psi = state.reshape([2] * n).copy()
-    sel = [slice(None)] * n
-    sel[c1] = 1
-    sel[c2] = 1
-    sub = psi[tuple(sel)]
-    sub = np.moveaxis(sub.reshape([2] * (n - 2)), tq - sum(q < tq for q in (c1, c2)), 0)
-    sub = np.tensordot(U_target, sub, axes=([1], [0]))
-    sub = np.moveaxis(sub, 0, tq - sum(q < tq for q in (c1, c2)))
-    psi[tuple(sel)] = sub
-    return psi.reshape(-1)
+def _apply(state: np.ndarray, n: int, U: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """U on qubit qubits[-1] where the other `qubits` are 1, to a vector or to each column of a matrix."""
+    psi = state.reshape([2] * n + [-1]).copy()  # the last axis runs over the columns
+    sel = [slice(None)] * (n + 1)
+    for c in qubits[:-1]:
+        sel[c] = 1
+    axis = qubits[-1] - sum(c < qubits[-1] for c in qubits[:-1])  # the target's axis once the controls are fixed
+    sub = np.moveaxis(psi[tuple(sel)], axis, 0)
+    psi[tuple(sel)] = np.moveaxis(np.tensordot(U, sub, axes=([1], [0])), 0, axis)
+    return psi.reshape(state.shape)
 
 
 def apply_gate(state: np.ndarray, n: int, name: str, qubits: tuple[int, ...]) -> np.ndarray:
-    if name == "H":
-        return _apply_1q(state, n, _H2, qubits[0])
-    if name == "X":
-        return _apply_1q(state, n, _X2, qubits[0])
-    if name == "SH":
-        return _apply_1q(state, n, _SH2, qubits[0])
-    if name == "SX":
-        return _apply_1q(state, n, _SX2, qubits[0])
-    if name == "CCX":
-        return _apply_ccx(state, n, _X2, *qubits)
-    if name == "SCCX":
-        return _apply_ccx(state, n, _SX2, *qubits)
-    raise ValueError(f"unknown gate {name!r}")
+    """Gate `name` of GATES on `qubits`, to a vector or to each column of a matrix."""
+    return _apply(state, n, GATES[name][0], qubits)
 
 
 def expand_sqrt(gates: GateSequence) -> GateSequence:
     """Replace each base gate by two of its square roots."""
     out = []
     for name, qubits in gates.gates:
-        if name not in SQRT_GATES:
-            raise ValueError(f"only base gates {BASE_GATES} may be compiled, got {name!r}")
-        s = SQRT_GATES[name]
-        out.append((s, qubits))
-        out.append((s, qubits))
+        if "S" + name not in GATES:
+            bases = tuple(b for b in GATES if "S" + b in GATES)
+            raise ValueError(f"only base gates {bases} may be compiled, got {name!r}")
+        out += [("S" + name, qubits)] * 2
     return GateSequence(n=gates.n, gates=tuple(out))
 
 
@@ -542,7 +503,7 @@ def simulatable_handle_for_step(gates: GateSequence, x: str, j: int, delta: floa
 
     H_x(j) = I - |alpha_x(j)><alpha_x(j)| for the sqrt-doubled circuit: undo
     the first j gates, phase e^{-i delta} everything except |x, 0...0>, redo
-    the gates.
+    the gates.  Each gate acts on all columns at once.
     """
     doubled = expand_sqrt(gates)
     if not 0 <= j <= len(doubled.gates):
@@ -553,14 +514,10 @@ def simulatable_handle_for_step(gates: GateSequence, x: str, j: int, delta: floa
     U = np.eye(N, dtype=complex)
     prefix = doubled.gates[:j]
     for name, qubits in reversed(prefix):
-        inv = {"SH": _SH2.conj().T, "SX": _SX2.conj().T}
-        if name in inv:
-            U = np.stack([_apply_1q(U[:, c], n, inv[name], qubits[0]) for c in range(N)], axis=1)
-        else:
-            U = np.stack([_apply_ccx(U[:, c], n, _SX2.conj().T, *qubits) for c in range(N)], axis=1)
+        U = _apply(U, n, GATES[name][0].conj().T, qubits)
     phases = np.full(N, np.exp(-1j * delta), dtype=complex)
     phases[x0] = 1.0
     U = phases[:, None] * U
     for name, qubits in prefix:
-        U = np.stack([apply_gate(U[:, c], n, name, qubits) for c in range(N)], axis=1)
+        U = apply_gate(U, n, name, qubits)
     return U

@@ -135,11 +135,13 @@ def _run_decompose_check(cfg: dict, report: RunReport) -> None:
 
 def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
     n, D, lam, t = cfg["n"], cfg["D"], cfg["lam"], cfg["t"]
+    _require(cfg, "n", 1 <= n and 1 << n <= MAX_DIM, f"in [1, {MAX_DIM.bit_length() - 1}]")
+    _require(cfg, "t", t > 0, "positive")
+    _require(cfg, "alpha", 0 < cfg["alpha"] < 1, "in (0, 1)")
     _require(cfg, "start_steps", cfg["start_steps"] >= 1, ">= 1")
     _require(cfg, "points", cfg["points"] >= 2, ">= 2 to fit a slope")
     H = random_sparse_hermitian(n, D, lam, subseed(cfg["seed"], "trotter-instance"))
-    sh = sparseham.sparse_from_dense(H, D=None, lam=lam)
-    pieces = sparseham.decompose(sh)
+    pieces = sparseham.decompose(sparseham.sparse_from_dense(H, D=None, lam=lam))
     exact = matrix_exponential(H, t).entries
     rows = []
     steps = cfg["start_steps"]
@@ -150,7 +152,7 @@ def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
         steps *= 2
     log_deltas, log_errors = np.log([d for d, _ in rows]), np.log([max(e, 1e-16) for _, e in rows])
     slope = float(np.polyfit(log_deltas, log_errors, 1)[0])
-    U = sparseham.simulate_sparse(sh, t, cfg["alpha"])
+    U = sparseham.trotter_within(pieces, exact, t, cfg["alpha"], lam)
     achieved = spectral_norm(U - exact)
     report.series["delta_sweep"] = (("delta", "measured_error"), rows)
     report.scalars["loglog_slope"] = slope
@@ -379,7 +381,7 @@ def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
     _require(cfg, "instances", cfg["instances"] >= 1, ">= 1")
     p, g = cfg["p"], cfg["g"]
     rng = sub_rng(cfg["seed"], "szk-dlp")
-    c = 1 / 6
+    c = szk.DLP_PROMISE_FRACTION
     family = szk.dlp_family(p, g)
     mismatches = 0
     for _ in range(cfg["instances"]):

@@ -16,10 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import adiabatic
-from .qcore import DenseHermitian, NumericalError, StateVector, ground_state, spectral_gap  # noqa: F401
+from .qcore import DenseHermitian, NumericalError, StateVector, ground_state  # noqa: F401
 # ground_state is no longer called here; perfbench's tracer test still reads markov.ground_state.
-
-PAD_ENERGY = 3.0  # above the [0, 2] spectrum of any chain Hamiltonian
 
 
 class NotReversibleError(NumericalError, ValueError):
@@ -137,11 +135,6 @@ def sqrt_pi_deviation(H: DenseHermitian, pi: StationaryDistribution, spectrum: n
     return 2 * math.sin(math.asin(s) / 2) if s < 1 else math.inf
 
 
-def second_gap(M: MarkovChain) -> float:
-    """1 - lambda_2(M), equal to the spectral gap of H_M."""
-    return spectral_gap(chain_hamiltonian(M))
-
-
 def _next_pow2(N: int) -> int:
     return 1 << max(0, (N - 1).bit_length())
 
@@ -152,16 +145,6 @@ def pi_state(pi: StationaryDistribution) -> StateVector:
     amps = np.zeros(_next_pow2(N), dtype=complex)
     amps[:N] = np.sqrt(pi.pi)
     return StateVector.from_amplitudes(amps, normalize=True)
-
-
-def padded_chain_hamiltonian(M: MarkovChain, pi: StationaryDistribution | None = None) -> DenseHermitian:
-    """H_M embedded in power-of-two dimension; padding coordinates sit at PAD_ENERGY."""
-    H = chain_hamiltonian(M, pi)
-    N = H.dim
-    Np = _next_pow2(N)
-    out = np.eye(Np, dtype=complex) * PAD_ENERGY
-    out[:N, :N] = H.entries
-    return DenseHermitian(out)
 
 
 def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]]) -> MarkovChain:
@@ -264,8 +247,6 @@ def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
 # ---------------------------------------------------------------------------
 # Perfect matchings of K_{n,n}
 
-Matching = frozenset  # of (left, right) edges
-
 MAX_MATCHING_N = 4
 
 
@@ -340,12 +321,6 @@ def matching_weight(space: MatchingSpace, m, activity: float) -> float:
     off = sum(1 for e in m if e not in space.target_edges)
     base = float(space.n) if not space.is_perfect(m) else 1.0
     return base * activity**off
-
-
-def direct_seed_amplitudes(space: MatchingSpace) -> np.ndarray:
-    """Oracle: amplitude 1 on perfect matchings, sqrt(n) on near-perfect."""
-    amps = np.array([1.0 if space.is_perfect(m) else math.sqrt(space.n) for m in space.states])
-    return amps / np.linalg.norm(amps)
 
 
 def matchings_seed_qsample(n: int) -> tuple[StateVector, MatchingSpace]:

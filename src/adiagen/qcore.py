@@ -5,7 +5,7 @@ and serves as the ground-truth oracle for the rest of the package.  hbar = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,10 +108,6 @@ class UnitaryMatrix:
         if resid > 1e-9:
             raise ValueError(f"matrix not unitary: residual {resid}")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -123,13 +119,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def gap(self) -> float:
-        """Difference between the two smallest eigenvalues."""
-        if self.dim < 2:
-            raise ValueError("spectral gap needs dim >= 2")
-        return float(self.eigenvalues[1] - self.eigenvalues[0])
 
 
 def decompose_hermitian(H: DenseHermitian) -> SpectralDecomposition:
@@ -198,14 +187,15 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (abs(pivot) / pivot)
 
 
-def ground_state(H: DenseHermitian, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[float, StateVector]:
-    """Groundvalue and groundstate, phase-fixed; errors out on degeneracy."""
+def ground_state(H: DenseHermitian) -> tuple[float, StateVector]:
+    """Groundvalue and groundstate, phase-fixed; errors out on a gap below DEGENERACY_TOL."""
     dec = decompose_hermitian(H)
-    if dec.dim >= 2 and dec.gap < degeneracy_tol:
+    vals = dec.eigenvalues
+    if vals.size >= 2 and vals[1] - vals[0] < DEGENERACY_TOL:
         raise DegenerateGroundstateError(
-            f"groundstate degenerate: gap {dec.gap:.3e} < tol {degeneracy_tol:.3e}")
+            f"groundstate degenerate: gap {vals[1] - vals[0]:.3e} < tol {DEGENERACY_TOL:.3e}")
     v = _fix_phase(dec.eigenvectors[:, 0])
-    return float(dec.eigenvalues[0]), StateVector.from_amplitudes(v, normalize=True)
+    return float(vals[0]), StateVector.from_amplitudes(v, normalize=True)
 
 
 def state_overlap(psi: StateVector, phi: StateVector) -> complex:
@@ -244,6 +234,8 @@ def random_sparse_hermitian(n: int, D: int, lam: float, seed: int) -> DenseHermi
     if D < 1 or lam <= 0:
         raise ValueError("need D >= 1 and lam > 0")
     N = 1 << n
+    if N > MAX_DIM:
+        raise ValueError(f"dimension 2^{n} exceeds desk-scale limit {MAX_DIM}")
     if D > N:
         raise ValueError(f"row sparsity D={D} infeasible for dim {N}")
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,10 @@ class ColoringError(NumericalError, RuntimeError):
 
 
 class StepBudgetError(NumericalError, RuntimeError):
-    """simulate_sparse ran out of Trotter steps before reaching the requested accuracy."""
+    """trotter_within ran out of Trotter steps before reaching the requested accuracy."""
+
+
+MAX_TROTTER_STEPS = 1 << 20  # trotter_within's budget
 
 
 @dataclass(frozen=True)
@@ -89,37 +92,6 @@ def sparse_from_dense(H: DenseHermitian, D: int | None = None, lam: float | None
     )
 
 
-def load_coo(path) -> DenseHermitian:
-    """Read 'i j re im' lines; symmetric entries must both be present."""
-    entries = {}
-    max_idx = -1
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            i_s, j_s, re_s, im_s = line.split()
-            i, j = int(i_s), int(j_s)
-            entries[(i, j)] = complex(float(re_s), float(im_s))
-            max_idx = max(max_idx, i, j)
-    N = max_idx + 1
-    H = np.zeros((N, N), dtype=complex)
-    for (i, j), v in entries.items():
-        H[i, j] = v
-    if np.max(np.abs(H - H.conj().T)) > 1e-12:
-        raise InconsistentOracleError("coordinate list is not Hermitian")
-    return DenseHermitian(H)
-
-
-def save_coo(H: DenseHermitian, path) -> None:
-    with open(path, "w") as f:
-        for i in range(H.dim):
-            for j in range(H.dim):
-                v = H.entries[i, j]
-                if v != 0 or i == j == H.dim - 1:  # written even if zero: load_coo reads the dim off it
-                    f.write(f"{i} {j} {float(v.real)!r} {float(v.imag)!r}\n")
-
-
 @dataclass(frozen=True)
 class EntryColor:
     """Color 5-tuple: separating modulus, residues, and row/column positions."""
@@ -154,37 +126,8 @@ class BlockPiece:
         return DenseHermitian(m)
 
 
-def _separating_modulus(i: int, j: int, n: int) -> int:
-    for k in range(2, max(2, n * n) + 1):  # n = 1 still needs k = 2
-        if i % k != j % k:
-            return k
-    raise ColoringError(f"no separating modulus in [2..{max(2, n * n)}] for ({i}, {j})")
-
-
-def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
-    """Color of entry (i, j); colors of mirror entries coincide."""
-    if i > j:
-        i, j = j, i
-    n = H.n
-    if i == j:
-        k = 1
-    else:
-        k = _separating_modulus(i, j, n)
-
-    def position(row: int, col: int) -> int:
-        for pos, (c, _v) in enumerate(H.oracle.row(row), start=1):
-            if c == col:
-                return pos
-        return 0
-
-    rindex = position(i, j)
-    # Column j of H mirrors row j by Hermiticity.
-    cindex = position(j, i)
-    return EntryColor(k=k, i_mod_k=i % k, j_mod_k=j % k, rindex=rindex, cindex=cindex)
-
-
 def _separating_moduli(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """`_separating_modulus` of every pair (i, j) at once; 1 where i == j."""
+    """Smallest k in [2, max(2, n^2)] with i != j mod k, for every pair (i, j) at once; 1 where i == j."""
     k = np.ones_like(i)
     left = np.flatnonzero(i != j)
     for m in range(2, max(2, n * n) + 1):
@@ -203,7 +146,8 @@ def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
 
     Each oracle row is read once.  Entry e of the flat row-major arrays (i, j, v)
     finds its mirror (j, i) by binary search on the key i*N + j.  The pieces equal
-    grouping the upper-triangle entries by `color_entry`, in sorted color order.
+    grouping the upper-triangle entries by their color (k, i mod k, j mod k, row
+    position, column position), in sorted color order.
     """
     N, D = H.dim, H.D
     rows = [H.oracle.row(r) for r in range(N)]  # one oracle call per row
@@ -299,32 +243,34 @@ def trotter_unitary(pieces: list[BlockPiece], delta: float, steps: int, N: int) 
     return np.linalg.matrix_power(trotter_step(pieces, delta, np.eye(N, dtype=complex)), steps)
 
 
-def simulate_sparse(H: SparseHamiltonian, t: float, alpha: float,
-                    max_steps: int = 1 << 20) -> np.ndarray:
-    """Dense approximation of e^{-itH} with operator-norm error <= alpha.
+def trotter_within(pieces: list[BlockPiece], exact: np.ndarray, t: float, alpha: float,
+                   lam: float) -> np.ndarray:
+    """The first (U_delta)^steps within alpha of `exact` = e^{-itH} in operator norm, t > 0.
 
-    The step count is doubled (delta halved, keeping t/2delta an integer so
-    the symmetric product telescopes cleanly) until a desk-scale check
-    against the exact exponential passes; the error contracts quadratically
-    in delta.
+    The step count is seeded from the second-order error term M * lam^3 * t^2 / steps
+    (M pieces, ||H|| <= lam), then doubled (delta halved, keeping t/2delta an
+    integer so the symmetric product telescopes cleanly) until the check
+    passes; the error contracts quadratically in delta.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    N = H.dim
-    if t == 0:
-        return np.eye(N, dtype=complex)
-    if t < 0:  # e^{+i|t|H} is the adjoint of e^{-i|t|H}, and so is its approximation
-        return simulate_sparse(H, -t, alpha, max_steps).conj().T
-    pieces = decompose(H)
     M = max(len(pieces), 1)
-    lam = max(H.lam, 1e-12)
-    exact = matrix_exponential(H.materialize(), t).entries
-    # Seed the step count from the second-order error term M * lam^3 * t^2 / steps.
-    steps = max(1, math.ceil(math.sqrt(M * lam**3 * abs(t) ** 2 / alpha)))
-    while steps <= max_steps:
+    lam = max(lam, 1e-12)
+    steps = max(1, math.ceil(math.sqrt(M * lam**3 * t**2 / alpha)))
+    while steps <= MAX_TROTTER_STEPS:
         delta = t / (2 * steps)
-        U = trotter_unitary(pieces, delta, steps, N)
+        U = trotter_unitary(pieces, delta, steps, exact.shape[0])
         if spectral_norm(U - exact) <= alpha:
             return U
         steps *= 2
-    raise StepBudgetError(f"step budget {max_steps} exhausted before reaching accuracy {alpha}")
+    raise StepBudgetError(f"step budget {MAX_TROTTER_STEPS} exhausted before reaching accuracy {alpha}")
+
+
+def simulate_sparse(H: SparseHamiltonian, t: float, alpha: float) -> np.ndarray:
+    """Dense approximation of e^{-itH} with operator-norm error <= alpha, checked against the exact exponential."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    if t == 0:
+        return np.eye(H.dim, dtype=complex)
+    if t < 0:  # e^{+i|t|H} is the adjoint of e^{-i|t|H}, and so is its approximation
+        return simulate_sparse(H, -t, alpha).conj().T
+    pieces = decompose(H)
+    return trotter_within(pieces, matrix_exponential(H.materialize(), t).entries, t, alpha, H.lam)

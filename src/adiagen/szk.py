@@ -1,6 +1,6 @@
 """Circuit output distributions, Qsamples, and statistical-difference deciders.
 
-Contains the fidelity/variation-distance machinery, the Hadamard-test based
+Contains the variation distance, the Hadamard-test based
 decider for the statistical-difference promise problem, and toy-modulus
 discrete-log and quadratic-residuosity reductions with brute-force referees.
 """
@@ -37,25 +37,6 @@ def circuit_from_table(n: int, m: int, table: list[int]) -> ClassicalCircuit:
     return ClassicalCircuit(n=n, m=m, eval=lambda x, _t=tuple(table): _t[x])
 
 
-def parse_truth_table(text: str) -> ClassicalCircuit:
-    """Lines 'input_bits output_bits' in binary, one per input."""
-    rows = {}
-    n = m = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        a, b = line.split()
-        if n is None:
-            n, m = len(a), len(b)
-        if len(a) != n or len(b) != m:
-            raise ValueError("ragged truth table")
-        rows[int(a, 2)] = int(b, 2)
-    if n is None or len(rows) != 1 << n:
-        raise ValueError("incomplete truth table")
-    return circuit_from_table(n, m, [rows[i] for i in range(1 << n)])
-
-
 @dataclass(frozen=True)
 class OutputDistribution:
     m: int
@@ -85,12 +66,6 @@ def qsample_exact(C: ClassicalCircuit) -> StateVector:
     return StateVector.from_amplitudes(np.sqrt(dist.probabilities), normalize=True)
 
 
-def fidelity(p: OutputDistribution, q: OutputDistribution) -> float:
-    if p.m != q.m:
-        raise ValueError("dimension mismatch")
-    return float(np.sum(np.sqrt(p.probabilities * q.probabilities)))
-
-
 def variation(p: OutputDistribution, q: OutputDistribution) -> float:
     if p.m != q.m:
         raise ValueError("dimension mismatch")
@@ -113,23 +88,6 @@ def hadamard_test(v: StateVector, w: StateVector, shots: int,
 SD_LOW_THRESHOLD = (1 + math.sqrt(1 - 0.75**2)) / 2  # <= 0.831 when variation >= 3/4
 SD_HIGH_THRESHOLD = 7 / 8                            # >= 0.875 when variation <= 1/4
 SD_MIDPOINT = (SD_LOW_THRESHOLD + SD_HIGH_THRESHOLD) / 2  # ~0.853
-
-
-@dataclass(frozen=True)
-class SDInstance:
-    C0: ClassicalCircuit
-    C1: ClassicalCircuit
-    alpha: float = 0.75
-    beta: float = 0.25
-
-    def __post_init__(self):
-        if not 0 <= self.beta < self.alpha <= 1:
-            raise ValueError("need 0 <= beta < alpha <= 1")
-
-
-def sd_promise_holds(inst: SDInstance) -> bool:
-    d = variation(distribution_of(inst.C0), distribution_of(inst.C1))
-    return d >= inst.alpha or d <= inst.beta
 
 
 def sd_shots(delta: float) -> int:
@@ -218,6 +176,8 @@ def semiprime_factors(nn: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Discrete log promise problem
 
+DLP_PROMISE_FRACTION = 1 / 6  # x in [1, cp] is low, x in [p/2 + 1, p/2 + cp] is high
+
 
 def _uniform_support_state(support: np.ndarray, dim: int) -> StateVector:
     mask = np.zeros(dim, dtype=bool)
@@ -237,7 +197,9 @@ class DLPFamily:
 
     `powers` is g^k mod p for k in [0, p); `mid` is the Qsample of the
     mid-window reference circuit, uniform on {g^(ceil(p/2)+1+i)} over
-    2^(floor(log p)-1) exponents; `threshold` is `dlp_threshold(p, g)`.
+    2^(floor(log p)-1) exponents; `threshold` is the Hadamard-test frequency
+    between the low window's 1/2 and the high window's worst (1 + ov_min)/2,
+    ov_min = `dlp_min_high_overlap(p)`.
     """
 
     p: int
@@ -267,39 +229,28 @@ def dlp_family(p: int, g: int) -> DLPFamily:
     t_size, _ = dlp_window_sizes(p)
     mid_base = pow(g, p // 2 + 1 + 1, p)  # g^(ceil(p/2)+1) for odd p
     mid = _uniform_support_state(powers[:t_size] * mid_base % p, 1 << (p - 1).bit_length())
-    return DLPFamily(p=p, g=g, powers=powers, mid=mid, threshold=dlp_threshold(p, g))
+    return DLPFamily(p=p, g=g, powers=powers, mid=mid, threshold=0.5 + dlp_min_high_overlap(p) / 4.0)
 
 
-def dlp_states(p: int, g: int, y: int) -> tuple[StateVector, StateVector]:
-    """Qsamples of the mid-window reference circuit and of C_{y, .}, built for this one instance."""
-    family = dlp_family(p, g)
-    return family.mid, family.state(y)
-
-
-def dlp_min_high_overlap(p: int, g: int, c: float = 1 / 6) -> float:
+def dlp_min_high_overlap(p: int) -> float:
     """Worst-case overlap over the promised high window, from interval arithmetic."""
     t_size, tp_size = dlp_window_sizes(p)
     lo = p // 2 + 1 + 1
     worst = math.inf
-    for x in (p // 2 + 1, p // 2 + int(c * p)):
+    for x in (p // 2 + 1, p // 2 + int(DLP_PROMISE_FRACTION * p)):
         inter = max(0, min(x + tp_size, lo + t_size) - max(x, lo))  # |[x, x+tp) & [lo, lo+t)|
         worst = min(worst, inter / math.sqrt(t_size * tp_size))
     return worst
 
 
-def dlp_promise_holds(p: int, g: int, y: int, c: float = 1 / 6) -> str | None:
+def dlp_promise_holds(p: int, g: int, y: int) -> str | None:
     """Referee: 'low', 'high', or None when the promise is violated."""
     x = discrete_log(g, y, p)
-    if 1 <= x <= int(c * p):
+    if 1 <= x <= int(DLP_PROMISE_FRACTION * p):
         return "low"
-    if p // 2 + 1 <= x <= p // 2 + int(c * p):
+    if p // 2 + 1 <= x <= p // 2 + int(DLP_PROMISE_FRACTION * p):
         return "high"
     return None
-
-
-def dlp_threshold(p: int, g: int) -> float:
-    """Hadamard-test frequency between the low window's 1/2 and the high window's worst (1 + ov_min)/2."""
-    return 0.5 + dlp_min_high_overlap(p, g) / 4.0
 
 
 def dlp_decider(family: DLPFamily, y: int, shots: int, rng: np.random.Generator) -> str:
@@ -334,18 +285,6 @@ def _qr_state(nn: int, a: int) -> StateVector:
     return StateVector.from_amplitudes(amps, normalize=True)
 
 
-def _check_unit(x: int, nn: int) -> None:
-    if math.gcd(x, nn) != 1:
-        raise ValueError("x must be a unit modulo nn")
-
-
-def qr_states(nn: int, x: int) -> tuple[StateVector, StateVector]:
-    """Qsamples of C_1 and C_x for the squaring circuit modulo a semiprime, built for this one instance."""
-    _check_qr_modulus(nn)
-    _check_unit(x, nn)
-    return _qr_state(nn, 1), _qr_state(nn, x)
-
-
 def qr_nonresidue_max_overlap(nn: int) -> float:
     """max over non-residue units x of <C_x|C_1>, by exhaustive enumeration."""
     _check_qr_modulus(nn)
@@ -356,16 +295,13 @@ def qr_nonresidue_max_overlap(nn: int) -> float:
                default=0.0)
 
 
-def qr_threshold(nn: int) -> float:
-    """Hadamard-test frequency between a residue's 1 and a non-residue's worst (1 + ov_max)/2."""
-    return (1.0 + (1.0 + qr_nonresidue_max_overlap(nn)) / 2.0) / 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class QRFamily:
     """The fixed part of every quadratic-residuosity decision modulo nn, built once by `qr_family`.
 
-    `c1` is the Qsample of C_1; `threshold` is `qr_threshold(nn)`.
+    `c1` is the Qsample of C_1; `threshold` is the Hadamard-test frequency
+    between a residue's 1 and a non-residue's worst (1 + ov_max)/2, ov_max =
+    `qr_nonresidue_max_overlap(nn)`.
     """
 
     nn: int
@@ -374,14 +310,16 @@ class QRFamily:
 
     def state(self, x: int) -> StateVector:
         """Qsample of C_x; x must be a unit."""
-        _check_unit(x, self.nn)
+        if math.gcd(x, self.nn) != 1:
+            raise ValueError("x must be a unit modulo nn")
         return _qr_state(self.nn, x)
 
 
 def qr_family(nn: int) -> QRFamily:
     """Check that nn is a semiprime and build |C_1> and the threshold once."""
     _check_qr_modulus(nn)
-    return QRFamily(nn=nn, c1=_qr_state(nn, 1), threshold=qr_threshold(nn))
+    threshold = (1.0 + (1.0 + qr_nonresidue_max_overlap(nn)) / 2.0) / 2.0
+    return QRFamily(nn=nn, c1=_qr_state(nn, 1), threshold=threshold)
 
 
 def qr_decider(family: QRFamily, x: int, shots: int, rng: np.random.Generator) -> str:

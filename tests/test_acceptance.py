@@ -19,6 +19,7 @@ from adiagen.qcore import (
     spectral_norm,
     state_overlap,
 )
+from dense_references import fidelity, path_hamiltonian
 from greedy_sparse_hermitian import greedy_sparse_hermitian
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -186,7 +187,7 @@ def test_06_circuit_to_adiabatic_equivalence():
             min_overlap = min(min_overlap, abs(state_overlap(a, b)))
         path = adiabatic.jagged_path(states)
         for s in np.linspace(0, 1, 101):
-            min_gap = min(min_gap, spectral_gap(path.evaluate(float(s))))
+            min_gap = min(min_gap, spectral_gap(path_hamiltonian(path, float(s))))
         rep = adiabatic.zeno_evolve(path, 2000, states[0])
         target = adiabatic.simulate_circuit(gates, x)
         min_fid = min(min_fid, abs(state_overlap(rep.final_state, target)))
@@ -346,7 +347,7 @@ def test_11_fidelity_variation_fact():
         C0 = szk.circuit_from_table(5, 3, t0)
         C1 = szk.circuit_from_table(5, 3, t1)
         ov = state_overlap(szk.qsample_exact(C0), szk.qsample_exact(C1)).real
-        F = szk.fidelity(szk.distribution_of(C0), szk.distribution_of(C1))
+        F = fidelity(szk.distribution_of(C0), szk.distribution_of(C1))
         worst_overlap_dev = max(worst_overlap_dev, abs(ov - F))
     ok = violations == 0 and worst_overlap_dev <= 1e-12
     report(11, "fidelity-variation-fact", ok,

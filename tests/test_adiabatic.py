@@ -18,6 +18,7 @@ from adiagen.qcore import (
     spectral_norm,
     state_overlap,
 )
+from dense_references import path_hamiltonian
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -71,13 +72,13 @@ class TestJaggedPath:
     def test_single_state_constant(self):
         psi = StateVector.basis(4, 1)
         path = adiabatic.jagged_path([psi])
-        assert np.allclose(path.evaluate(0.3).entries,
+        assert np.allclose(path_hamiltonian(path, 0.3).entries,
                            adiabatic.projector_hamiltonian(psi).entries)
 
     def test_two_state_min_gap(self):
         a, b = state_pair_with_overlap(0.71)
         path = adiabatic.jagged_path([a, b])
-        gaps = [spectral_gap(path.evaluate(s)) for s in np.linspace(0, 1, 101)]
+        gaps = [spectral_gap(path_hamiltonian(path, s)) for s in np.linspace(0, 1, 101)]
         assert min(gaps) == pytest.approx(0.71, abs=1e-9)
 
     def test_three_state_gap_floor(self):
@@ -85,7 +86,7 @@ class TestJaggedPath:
         states = [random_state(4, rng) for _ in range(3)]
         floor = min(abs(state_overlap(x, y)) for x, y in zip(states, states[1:]))
         path = adiabatic.jagged_path(states)
-        gaps = [spectral_gap(path.evaluate(s)) for s in np.linspace(0, 1, 101)]
+        gaps = [spectral_gap(path_hamiltonian(path, s)) for s in np.linspace(0, 1, 101)]
         assert min(gaps) >= floor - 1e-9
 
     def test_orthogonal_states_rejected(self):
@@ -111,14 +112,14 @@ def jagged_instances(draw):
 
 
 class TestPathClosedForms:
-    """Every O(N) path method against the dense H(s) = path.evaluate(s)."""
+    """Every O(N) path method against the dense H(s) = path_hamiltonian(path, s)."""
 
     @settings(max_examples=400, deadline=None)
     @given(jagged_instances())
     def test_matches_dense_oracle(self, instance):
         states, s, t, psi = instance
         path = adiabatic.jagged_path(states)
-        H = path.evaluate(s)
+        H = path_hamiltonian(path, s)
         assert abs(state_overlap(path.ground_state(s), ground_state(H)[1])) >= 1 - 1e-10
         assert abs(path.gap(s) - spectral_gap(H)) <= 1e-10
         assert np.max(np.abs(path.evolve(s, t, psi) - matrix_exponential(H, t).entries @ psi)) <= 1e-10
@@ -290,11 +291,11 @@ class TestZeno:
         states = [random_state(4, rng) for _ in range(3)]
         path = adiabatic.jagged_path(states)
         R = 30
-        rep = adiabatic.zeno_evolve(path, R, ground_state(path.evaluate(0.0))[1])
+        rep = adiabatic.zeno_evolve(path, R, ground_state(path_hamiltonian(path, 0.0))[1])
         prod = 1.0
         for j in range(R):
-            _, g1 = ground_state(path.evaluate(j / R))
-            _, g2 = ground_state(path.evaluate((j + 1) / R))
+            _, g1 = ground_state(path_hamiltonian(path, j / R))
+            _, g2 = ground_state(path_hamiltonian(path, (j + 1) / R))
             prod *= abs(state_overlap(g1, g2)) ** 2
         assert rep.success_probability == pytest.approx(prod, rel=1e-12)
 
@@ -437,10 +438,16 @@ class TestStackedOperands:
         assert type(adiabatic.two_projector_gap_formula(0.3, 0.2)) is float
 
 
+def gate_matrix(name):
+    """The matrix of gate `name` on its own qubits, read off `apply_gate` on the basis states."""
+    k = adiabatic.GATES[name][1]
+    return adiabatic.apply_gate(np.eye(1 << k, dtype=complex), k, name, tuple(range(k)))
+
+
 class TestGates:
     def test_sqrt_squares_back(self):
         for kind in ("H", "X", "CCX"):
-            S = adiabatic.sqrt_gate(kind).entries
+            S = gate_matrix("S" + kind)
             if kind == "CCX":
                 G = np.eye(8, dtype=complex)
                 G[6:8, 6:8] = np.array([[0, 1], [1, 0]])
@@ -452,12 +459,12 @@ class TestGates:
 
     def test_sqrt_not_matrix(self):
         want = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-        assert np.allclose(adiabatic.sqrt_gate("X").entries, want, atol=1e-12)
+        assert np.allclose(gate_matrix("SX"), want, atol=1e-12)
 
     def test_sqrt_diagonal_overlap_floor(self):
         rng = np.random.default_rng(91)
         for kind in ("H", "X", "CCX"):
-            S = adiabatic.sqrt_gate(kind).entries
+            S = gate_matrix("S" + kind)
             for _ in range(100):
                 beta = random_state(S.shape[0], rng)
                 assert abs(np.vdot(beta.amplitudes, S @ beta.amplitudes)) >= INV_SQRT2 - 1e-12
@@ -485,12 +492,12 @@ class TestCompiler:
         gates = adiabatic.GateSequence(n=2, gates=())
         path = adiabatic.compile_circuit(gates, "10")
         want = adiabatic.projector_hamiltonian(adiabatic.input_state(2, "10"))
-        assert np.allclose(path.evaluate(0.5).entries, want.entries)
+        assert np.allclose(path_hamiltonian(path, 0.5).entries, want.entries)
 
     def test_single_hadamard(self):
         gates = adiabatic.GateSequence(n=1, gates=(("H", (0,)),))
         path = adiabatic.compile_circuit(gates, "0")
-        _, final = ground_state(path.evaluate(1.0))
+        _, final = ground_state(path_hamiltonian(path, 1.0))
         plus = np.array([1, 1]) / math.sqrt(2)
         assert abs(np.vdot(plus, final.amplitudes)) == pytest.approx(1.0, abs=1e-10)
         states = adiabatic.circuit_states(adiabatic.expand_sqrt(gates), "0")

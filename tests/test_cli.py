@@ -1,6 +1,7 @@
 """Experiment runner: determinism, report format, series files, exit codes."""
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ from adiagen.qcore import (
     DegenerateGroundstateError,
     DenseHermitian,
     StateVector,
+    matrix_exponential,
+    random_sparse_hermitian,
     spectral_gap,
     spectral_norm,
     state_overlap,
@@ -156,6 +159,9 @@ REJECTED = {
     "trotter-start-steps-0": (["trotter-sweep", "--start-steps", "0"], None, None, 2, "start_steps"),
     "trotter-points-0": (["trotter-sweep", "--points", "0"], None, None, 2, "points"),
     "trotter-points-1": (["trotter-sweep", "--points", "1"], None, None, 2, "points"),
+    "trotter-t-0": (["trotter-sweep", "--t", "0"], None, None, 2, "t must be positive"),
+    "trotter-t-negative": (["trotter-sweep", "--t", "-1"], None, None, 2, "t must be positive"),
+    "trotter-n-13": (["trotter-sweep", "--n", "13"], None, None, 2, "n must be in [1, 12]"),
     "zeno-shots-0": (["zeno-run", "--shots", "0"], None, None, 2, "shots"),
     "adiabatic-delta-0": (["adiabatic-run", "--delta", "0"], None, None, 2, "delta"),
     "removed-edge-one-vertex": (["matchings-qsample", "--removed-edge", "0"], None, None, 2, "removed_edge"),
@@ -308,6 +314,49 @@ def test_adiabatic_run_checks_the_condition_once(monkeypatch):
                         lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
     assert cli.run({"command": "adiabatic-run", "seed": 1}).ok
     assert len(calls) == 1
+
+
+def parent_trotter_sweep(seed: int, n: int, D: int = 4, lam: float = 1.0, t: float = 1.0,
+                         start_steps: int = 2, points: int = 6, alpha: float = 1e-3):
+    """trotter-sweep's (loglog_slope, achieved_error) when simulate_sparse decomposed and exponentiated H again."""
+    H = random_sparse_hermitian(n, D, lam, cli.subseed(seed, "trotter-instance"))
+    sh = sparseham.sparse_from_dense(H, D=None, lam=lam)
+    pieces = sparseham.decompose(sh)
+    exact = matrix_exponential(H, t).entries
+    rows = []
+    for k in range(points):
+        steps = start_steps << k
+        U = sparseham.trotter_unitary(pieces, t / (2 * steps), steps, H.dim)
+        rows.append((t / (2 * steps), spectral_norm(U - exact)))
+    slope = float(np.polyfit(np.log([d for d, _ in rows]), np.log([max(e, 1e-16) for _, e in rows]), 1)[0])
+    return slope, spectral_norm(sparseham.simulate_sparse(sh, t, alpha) - exact)
+
+
+class TestTrotterSweepFixedWork:
+    def test_decompose_and_exponential_once_per_run(self, monkeypatch):
+        calls = Counter()
+        for owner, name in ((sparseham, "decompose"), (cli, "matrix_exponential"),
+                            (sparseham, "matrix_exponential"), (sparseham.SparseHamiltonian, "materialize")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *args, _name=name, _f=original: calls.update([_name]) or _f(*args))
+        assert cli.run({"command": "trotter-sweep", "seed": 1, "n": 7}).ok
+        assert calls == {"decompose": 1, "matrix_exponential": 1}  # the dense H is drawn, never materialized
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_same_scalars_as_the_parent_route(self, n, seed):
+        report = cli.run({"command": "trotter-sweep", "seed": seed, "n": n})
+        assert (report.scalars["loglog_slope"], report.scalars["achieved_error"]) == parent_trotter_sweep(seed, n)
+
+    def test_exhausted_step_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(sparseham, "MAX_TROTTER_STEPS", 4)
+        sh = sparseham.sparse_from_dense(random_sparse_hermitian(3, 2, 1.0, seed=1))
+        with pytest.raises(sparseham.StepBudgetError):
+            sparseham.simulate_sparse(sh, 1.0, 1e-6)
+        assert cli.main(["trotter-sweep", "--n", "3", "--D", "2", "--alpha", "1e-6"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "StepBudgetError" in err
 
 
 def test_markov_spectrum_makes_no_eigh_call(monkeypatch):

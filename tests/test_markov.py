@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adiagen import cli, markov
 from adiagen.qcore import DenseHermitian, StateVector, ground_state, spectral_gap, state_overlap
+from dense_references import direct_seed_amplitudes, padded_chain_hamiltonian
 
 TWO_STATE = markov.MarkovChain(np.array([[0.9, 0.1], [0.2, 0.8]]))
 THREE_STATE = markov.MarkovChain(
@@ -121,16 +122,11 @@ class TestSqrtPiDeviation:
 class TestSecondGap:
     def test_uniform_walk(self):
         M = markov.MarkovChain(np.full((4, 4), 0.25))
-        assert markov.second_gap(M) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_gap(markov.chain_hamiltonian(M)) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_state_value(self):
         # Eigenvalues {1, 0.7} by trace: 0.9 + 0.8 = 1 + lambda_2.
-        assert markov.second_gap(TWO_STATE) == pytest.approx(0.3, abs=1e-12)
-
-    def test_cross_module_identity(self):
-        got = markov.second_gap(THREE_STATE)
-        want = spectral_gap(markov.chain_hamiltonian(THREE_STATE))
-        assert got == pytest.approx(want, abs=1e-10)
+        assert spectral_gap(markov.chain_hamiltonian(TWO_STATE)) == pytest.approx(0.3, abs=1e-12)
 
 
 class TestPiState:
@@ -149,7 +145,7 @@ class TestPiState:
 
     def test_matches_padded_groundstate(self):
         pi = markov.stationary(THREE_STATE)
-        _, g = ground_state(markov.padded_chain_hamiltonian(THREE_STATE, pi))
+        _, g = ground_state(padded_chain_hamiltonian(THREE_STATE, pi))
         assert np.allclose(np.abs(g.amplitudes),
                            np.abs(markov.pi_state(pi).amplitudes), atol=1e-8)
 
@@ -312,7 +308,7 @@ class TestQsampleSequence:
         (targets,) = seen
         assert len(targets) == len(seq.chains)
         for c, got in zip(seq.chains, targets):
-            _, want = ground_state(markov.padded_chain_hamiltonian(c))
+            _, want = ground_state(padded_chain_hamiltonian(c))
             phase = np.vdot(got.amplitudes, want.amplitudes)
             assert abs(abs(phase) - 1.0) <= 1e-10
             assert np.max(np.abs(want.amplitudes - phase * got.amplitudes)) <= 1e-10
@@ -394,7 +390,7 @@ class TestSeedQsample:
     def test_matches_direct_amplitude_oracle(self):
         for n in (1, 2, 3):
             state, space = markov.matchings_seed_qsample(n)
-            want = markov.direct_seed_amplitudes(space)
+            want = direct_seed_amplitudes(space)
             assert np.allclose(state.amplitudes[: space.N].real, want, atol=1e-10)
             assert np.allclose(state.amplitudes[space.N:], 0.0)
 

@@ -249,3 +249,8 @@ class TestRandomSparseHermitian:
     def test_infeasible_rejected(self, n, D, lam):
         with pytest.raises(ValueError):
             random_sparse_hermitian(n, D, lam, seed=1)
+
+    def test_oversized_rejected_before_any_allocation(self, monkeypatch):
+        monkeypatch.setattr(np, "zeros", None)  # an 8192 x 8192 draw would allocate 1 GiB first
+        with pytest.raises(ValueError, match="2\\^13 exceeds desk-scale limit 4096"):
+            random_sparse_hermitian(13, 4, 1.0, seed=1)

@@ -1,9 +1,7 @@
 """Coloring decomposition and symmetric product-formula simulation."""
 import functools
 import math
-import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +22,8 @@ from adiagen.sparseham import (
     InconsistentOracleError,
     RowOracle,
     SparseHamiltonian,
-    color_entry,
     decompose,
-    load_coo,
     piece_exponential,
-    save_coo,
     simulate_sparse,
     sparse_from_dense,
     trotter_step,
@@ -40,6 +35,35 @@ from greedy_sparse_hermitian import greedy_sparse_hermitian
 # Random row-sparse instances of 1 to 3 qubits: (n, D, seed), D clamped to the dimension.
 instances = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1)).map(
     lambda nds: random_sparse_hermitian(nds[0], min(nds[1], 1 << nds[0]), 1.0, nds[2]))
+
+
+def _separating_modulus(i: int, j: int, n: int) -> int:
+    for k in range(2, max(2, n * n) + 1):  # n = 1 still needs k = 2
+        if i % k != j % k:
+            return k
+    raise ColoringError(f"no separating modulus in [2..{max(2, n * n)}] for ({i}, {j})")
+
+
+def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
+    """Color of entry (i, j) by scanning rows i and j of the oracle; colors of mirror entries coincide."""
+    if i > j:
+        i, j = j, i
+    n = H.n
+    if i == j:
+        k = 1
+    else:
+        k = _separating_modulus(i, j, n)
+
+    def position(row: int, col: int) -> int:
+        for pos, (c, _v) in enumerate(H.oracle.row(row), start=1):
+            if c == col:
+                return pos
+        return 0
+
+    rindex = position(i, j)
+    # Column j of H mirrors row j by Hermiticity.
+    cindex = position(j, i)
+    return EntryColor(k=k, i_mod_k=i % k, j_mod_k=j % k, rindex=rindex, cindex=cindex)
 
 
 def row_scan_pieces(H):
@@ -339,29 +363,6 @@ class TestSimulateSparse:
         U = simulate_sparse(with_zeros, t, 1e-3)
         assert np.array_equal(U, simulate_sparse(plain, t, 1e-3))
         assert spectral_norm(U - matrix_exponential(H, t).entries) <= 1e-3
-
-
-class TestCooRoundTrip:
-    def test_round_trip(self, tmp_path):
-        H = random_sparse_hermitian(3, 3, 1.0, seed=4)
-        path = tmp_path / "h.coo"
-        save_coo(H, path)
-        H2 = load_coo(path)
-        assert np.allclose(H.entries, H2.entries, atol=1e-15)
-
-    @settings(max_examples=50, deadline=None)
-    @given(instances)
-    def test_load_inverts_save(self, H):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "h.coo"
-            save_coo(H, path)
-            assert np.array_equal(load_coo(path).entries, H.entries)
-
-    def test_rejects_asymmetric_file(self, tmp_path):
-        path = tmp_path / "bad.coo"
-        path.write_text("0 1 1.0 0.0\n")
-        with pytest.raises(InconsistentOracleError):
-            load_coo(path)
 
 
 @functools.cache

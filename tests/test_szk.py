@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adiagen import cli, szk
 from adiagen.qcore import StateVector, state_overlap
+from dense_references import fidelity
 
 
 def random_circuit(n, m, rng):
@@ -51,7 +52,7 @@ class TestQsample:
             C0 = random_circuit(4, 3, rng)
             C1 = random_circuit(4, 3, rng)
             ov = state_overlap(szk.qsample_exact(C0), szk.qsample_exact(C1)).real
-            F = szk.fidelity(szk.distribution_of(C0), szk.distribution_of(C1))
+            F = fidelity(szk.distribution_of(C0), szk.distribution_of(C1))
             assert ov == pytest.approx(F, abs=1e-12)
 
 
@@ -59,13 +60,13 @@ class TestFidelityVariation:
     def test_equal_distributions(self):
         C = szk.circuit_from_table(2, 2, [0, 1, 2, 3])
         d = szk.distribution_of(C)
-        assert szk.fidelity(d, d) == pytest.approx(1.0)
+        assert fidelity(d, d) == pytest.approx(1.0)
         assert szk.variation(d, d) == 0.0
 
     def test_disjoint_supports(self):
         p = szk.distribution_of(szk.circuit_from_table(1, 2, [0, 1]))
         q = szk.distribution_of(szk.circuit_from_table(1, 2, [2, 3]))
-        assert szk.fidelity(p, q) == 0.0
+        assert fidelity(p, q) == 0.0
         assert szk.variation(p, q) == 1.0
 
     @settings(max_examples=200, deadline=None)
@@ -74,7 +75,7 @@ class TestFidelityVariation:
     def test_fact_bounds(self, t0, t1):
         p = szk.distribution_of(szk.circuit_from_table(3, 2, t0))
         q = szk.distribution_of(szk.circuit_from_table(3, 2, t1))
-        F = szk.fidelity(p, q)
+        F = fidelity(p, q)
         d = szk.variation(p, q)
         assert 1 - F <= d + 1e-12
         assert d <= math.sqrt(max(0.0, 1 - F * F)) + 1e-12
@@ -133,10 +134,10 @@ class TestSDDecider:
     def test_promise_referee(self):
         C0 = szk.circuit_from_table(3, 1, [0] * 7 + [1])
         C1 = szk.circuit_from_table(3, 1, [1] * 7 + [0])
-        assert szk.sd_promise_holds(szk.SDInstance(C0, C1))
+        assert szk.variation(szk.distribution_of(C0), szk.distribution_of(C1)) >= 3 / 4
         mid0 = szk.circuit_from_table(1, 1, [0, 0])
         mid1 = szk.circuit_from_table(1, 1, [0, 1])
-        assert not szk.sd_promise_holds(szk.SDInstance(mid0, mid1))
+        assert 1 / 4 < szk.variation(szk.distribution_of(mid0), szk.distribution_of(mid1)) < 3 / 4
 
     def test_shot_budget(self):
         assert szk.sd_shots(0.01) == math.ceil(
@@ -177,20 +178,20 @@ class TestDLP:
     def test_low_window_disjoint(self):
         p, g = 251, 6
         y = pow(g, 3, p)
-        v, w = szk.dlp_states(p, g, y)
-        assert abs(state_overlap(v, w)) == pytest.approx(0.0, abs=1e-12)
+        family = szk.dlp_family(p, g)
+        assert abs(state_overlap(family.mid, family.state(y))) == pytest.approx(0.0, abs=1e-12)
 
     def test_high_window_positive_overlap(self):
         p, g = 251, 6
         x = p // 2 + 2
-        v, w = szk.dlp_states(p, g, pow(g, x, p))
-        ov = abs(state_overlap(v, w))
+        family = szk.dlp_family(p, g)
+        ov = abs(state_overlap(family.mid, family.state(pow(g, x, p))))
         # Oracle: count the exponent-window intersection directly.
         t, tp = szk.dlp_window_sizes(p)
         lo = p // 2 + 2
         inter = len(set(range(x, x + tp)) & set(range(lo, lo + t)))
         assert ov == pytest.approx(inter / math.sqrt(t * tp), abs=1e-10)
-        assert ov >= szk.dlp_min_high_overlap(p, g) - 1e-12
+        assert ov >= szk.dlp_min_high_overlap(p) - 1e-12
 
     def test_decider_high_instance(self):
         p, g = 251, 6
@@ -221,16 +222,19 @@ class TestDLP:
 
 class TestQR:
     def test_x_equals_one(self):
-        c1, cx = szk.qr_states(15, 1)
+        family = szk.qr_family(15)
+        c1, cx = family.c1, family.state(1)
         assert abs(state_overlap(c1, cx)) == pytest.approx(1.0)
 
     def test_residue_gives_unit_overlap(self):
-        c1, c4 = szk.qr_states(15, 4)
+        family = szk.qr_family(15)
+        c1, c4 = family.c1, family.state(4)
         assert abs(state_overlap(c1, c4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_nonresidue_overlap_small(self):
         assert not szk.is_residue(2, 15)
-        c1, c2 = szk.qr_states(15, 2)
+        family = szk.qr_family(15)
+        c1, c2 = family.c1, family.state(2)
         ov = abs(state_overlap(c1, c2))
         assert ov < 1.0
         assert ov <= szk.qr_nonresidue_max_overlap(15) + 1e-12
@@ -249,7 +253,7 @@ class TestQR:
 
     def test_nonunit_rejected(self):
         with pytest.raises(ValueError):
-            szk.qr_states(15, 5)
+            szk.qr_family(15).state(5)
 
 
 BENCHMARK_MODULI = [15, 21, 33, 35, 39, 51, 55, 57, 65, 69, 77, 85, 87, 91, 93, 95]
@@ -304,7 +308,8 @@ class TestArrayConstructionsMatchLoops:
            st.integers(-10**6, 10**6))
     def test_dlp_supports(self, pg, y):
         p, g = pg
-        v, w = szk.dlp_states(p, g, y)
+        family = szk.dlp_family(p, g)
+        v, w = family.mid, family.state(y)
         mid, low = set_dlp_supports(p, g, y)
         assert set(np.flatnonzero(v.amplitudes)) == mid
         assert set(np.flatnonzero(w.amplitudes)) == low
@@ -317,16 +322,15 @@ class TestArrayConstructionsMatchLoops:
             lo = p // 2 + 2
             want = min(len(set(range(x, x + tp)) & set(range(lo, lo + t))) / math.sqrt(t * tp)
                        for x in (p // 2 + 1, p // 2 + int(p / 6)))
-            assert szk.dlp_min_high_overlap(p, 2) == want
+            assert szk.dlp_min_high_overlap(p) == want
 
     @pytest.mark.parametrize("nn", BENCHMARK_MODULI)
     def test_qr_nonresidue_max_overlap(self, nn):
-        c1, _ = szk.qr_states(nn, 1)
+        family = szk.qr_family(nn)
         want = 0.0
         for x in szk.units(nn):
             if not szk.is_residue(x, nn):
-                _, cx = szk.qr_states(nn, x)
-                want = max(want, abs(state_overlap(c1, cx)))
+                want = max(want, abs(state_overlap(family.c1, family.state(x))))
         assert szk.qr_nonresidue_max_overlap(nn) == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_qr_overlap_checks_the_modulus(self):
@@ -337,7 +341,8 @@ class TestArrayConstructionsMatchLoops:
 
 def parent_qr_decider(nn, x, shots, rng):
     """The QR decider before it took its threshold, which it recomputed per decision: (decision, threshold)."""
-    c1, cx = szk.qr_states(nn, x)
+    family = szk.qr_family(nn)
+    c1, cx = family.c1, family.state(x)
     ov_max = szk.qr_nonresidue_max_overlap(nn)
     threshold = (1.0 + (1.0 + ov_max) / 2.0) / 2.0
     return "residue" if szk.hadamard_test(c1, cx, shots, rng) > threshold else "nonresidue", threshold
@@ -345,8 +350,9 @@ def parent_qr_decider(nn, x, shots, rng):
 
 def parent_dlp_decider(p, g, y, shots, rng):
     """The discrete-log decider before it took its threshold: (decision, threshold)."""
-    v, w = szk.dlp_states(p, g, y)
-    threshold = 0.5 + szk.dlp_min_high_overlap(p, g) / 4.0
+    family = szk.dlp_family(p, g)
+    v, w = family.mid, family.state(y)
+    threshold = 0.5 + szk.dlp_min_high_overlap(p) / 4.0
     return "high" if szk.hadamard_test(v, w, shots, rng) > threshold else "low", threshold
 
 
@@ -426,19 +432,3 @@ class TestFixedWorkOncePerRun:
             szk.qr_family(45)
         with pytest.raises(ValueError, match="unit"):
             szk.qr_family(15).state(5)
-
-
-class TestParsing:
-    def test_truth_table_round_trip(self):
-        text = "# header\n00 01\n01 10\n10 11\n11 00\n"
-        C = szk.parse_truth_table(text)
-        assert (C.n, C.m) == (2, 2)
-        assert [C.eval(x) for x in range(4)] == [1, 2, 3, 0]
-
-    def test_incomplete_table_rejected(self):
-        with pytest.raises(ValueError):
-            szk.parse_truth_table("00 01\n01 10\n")
-
-    def test_ragged_table_rejected(self):
-        with pytest.raises(ValueError):
-            szk.parse_truth_table("00 01\n011 10\n10 11\n11 00\n")
