@@ -21,7 +21,6 @@ from .qcore import (
     StateVector,
     UnitaryMatrix,
     _fix_phase,
-    decompose_hermitian,
     ground_state,
     hermitian_entries,
     hermitian_norm,
@@ -95,7 +94,6 @@ class EvolutionReport:
     success_probability: float
     per_step_overlaps: np.ndarray
     steps: int
-    succeeded: bool | None = None
     warnings: tuple[str, ...] = ()
 
 
@@ -135,7 +133,6 @@ def jagged_path(states: Sequence[StateVector]) -> HamiltonianPath:
 @dataclass(frozen=True)
 class ConditionReport:
     max_ratio: float
-    holds: bool
     worst_s: float
     max_derivative_norm: float
 
@@ -143,8 +140,8 @@ class ConditionReport:
 CONDITION_GRID = 64  # points of the open s-grid; the pinned reference ratios were taken on it
 
 
-def check_adiabatic_condition(path: HamiltonianPath, sched: Schedule) -> ConditionReport:
-    """Worst ||dH/ds|| / gap^2 over an open grid; the condition holds iff T*eps covers it."""
+def check_adiabatic_condition(path: HamiltonianPath) -> ConditionReport:
+    """Worst ||dH/ds|| / gap^2 over an open grid; a schedule meets the condition iff T*eps covers it."""
     max_ratio, worst_s, max_deriv = 0.0, 0.0, 0.0
     for s in np.linspace(1e-5, 1 - 1e-5, CONDITION_GRID):
         s = float(s)
@@ -156,20 +153,15 @@ def check_adiabatic_condition(path: HamiltonianPath, sched: Schedule) -> Conditi
         ratio = deriv / gap**2
         if ratio > max_ratio:
             max_ratio, worst_s = ratio, s
-    return ConditionReport(
-        max_ratio=max_ratio,
-        holds=sched.T * sched.eps >= max_ratio,
-        worst_s=worst_s,
-        max_derivative_norm=max_deriv,
-    )
+    return ConditionReport(max_ratio=max_ratio, worst_s=worst_s, max_derivative_norm=max_deriv)
 
 
 def evolve_discretized(path: HamiltonianPath, sched: Schedule, delta: float,
                        psi0: StateVector, cond: ConditionReport) -> EvolutionReport:
     """Product of e^{-i H(s_j) delta} over a uniform s-grid with T ds = delta.
 
-    `cond` is `check_adiabatic_condition` of this path, for any schedule: the
-    condition is judged against `sched` here.  success_probability reports
+    `cond` is `check_adiabatic_condition` of this path: the condition is
+    judged against `sched` here.  success_probability reports
     the squared overlap of the final state with the final groundstate.
     """
     if abs(abs(state_overlap(psi0, path.ground_state(0.0))) - 1.0) > 1e-6:
@@ -190,7 +182,7 @@ def evolve_discretized(path: HamiltonianPath, sched: Schedule, delta: float,
         overlaps[j] = abs(np.vdot(path.ground_state(s).amplitudes, psi)) ** 2
     fidelity_sq = abs(np.vdot(path.ground_state(1.0).amplitudes, psi)) ** 2
     return EvolutionReport(
-        final_state=StateVector.from_amplitudes(psi, normalize=True),
+        final_state=StateVector.from_amplitudes(psi),
         success_probability=float(fidelity_sq),
         per_step_overlaps=overlaps,
         steps=steps,
@@ -224,8 +216,7 @@ def _qpe_register_amplitudes(phase: float, b: int) -> np.ndarray:
 
 def _phase_setup(H: DenseHermitian, b: int):
     """Eigensystem plus phase encoding; groundvalue is assumed at 0."""
-    dec = decompose_hermitian(H)
-    vals = dec.eigenvalues
+    vals, vecs = np.linalg.eigh(H.entries)
     gap = float(vals[1] - vals[0]) if H.dim >= 2 else 1.0
     if gap < DEGENERACY_TOL:
         raise DegenerateGroundstateError("degenerate groundstate in phase estimation")
@@ -239,7 +230,7 @@ def _phase_setup(H: DenseHermitian, b: int):
     t_base = math.pi / max(spread, 1e-12)
     phases = (vals - vals[0]) * t_base / (2 * math.pi)
     ground_threshold = gap * t_base / (2 * math.pi) / 2.0
-    return dec, phases, ground_threshold
+    return vecs, phases, ground_threshold
 
 
 def _is_ground_reading(y: int, b: int, ground_threshold: float) -> bool:
@@ -256,9 +247,9 @@ def phase_estimation_project(H: DenseHermitian, psi: StateVector, b: int,
     Returns (0, ~groundstate) with probability ~|<alpha(H)|psi>|^2, else
     (1, ~orthogonal component); exact up to register leakage.
     """
-    dec, phases, thr = _phase_setup(H, b)
+    V, phases, thr = _phase_setup(H, b)
     B = 1 << b
-    coeffs = dec.eigenvectors.conj().T @ psi.amplitudes
+    coeffs = V.conj().T @ psi.amplitudes
     # amps[j, y]: register amplitude for eigencomponent j
     amps = np.stack([_qpe_register_amplitudes(p, b) for p in phases])
     joint = coeffs[:, None] * amps  # joint amplitudes over (eigenstate, register)
@@ -266,10 +257,10 @@ def phase_estimation_project(H: DenseHermitian, psi: StateVector, b: int,
     probs = probs / probs.sum()
     y = int(rng.choice(B, p=probs))
     post_coeffs = joint[:, y]
-    post = dec.eigenvectors @ post_coeffs
+    post = V @ post_coeffs
     post = post / np.linalg.norm(post)
     outcome = 0 if _is_ground_reading(y, b, thr) else 1
-    return outcome, StateVector.from_amplitudes(post, normalize=True)
+    return outcome, StateVector.from_amplitudes(post)
 
 
 def projector_hamiltonian_sim(H: DenseHermitian, t: float, b: int = 8) -> np.ndarray:
@@ -279,14 +270,13 @@ def projector_hamiltonian_sim(H: DenseHermitian, t: float, b: int = 8) -> np.nda
     returned dense operator is the ancilla-restored block, near-unitary with
     deviation set by the register leakage.
     """
-    dec, phases, thr = _phase_setup(H, b)
+    V, phases, thr = _phase_setup(H, b)
     B = 1 << b
     flags = np.array([0.0 if _is_ground_reading(y, b, thr) else 1.0 for y in range(B)])
-    gammas = np.empty(dec.dim, dtype=complex)
+    gammas = np.empty(phases.size, dtype=complex)
     for j, p in enumerate(phases):
         w = np.abs(_qpe_register_amplitudes(p, b)) ** 2
         gammas[j] = np.sum(w * np.exp(-1j * t * flags))
-    V = dec.eigenvectors
     return (V * gammas) @ V.conj().T
 
 
@@ -300,14 +290,12 @@ def exact_projector_exponential(H: DenseHermitian, t: float) -> UnitaryMatrix:
 # Zeno evolution
 
 
-def zeno_evolve(path: HamiltonianPath, R: int, psi0: StateVector,
-                rng: np.random.Generator | None = None) -> EvolutionReport:
+def zeno_evolve(path: HamiltonianPath, R: int, psi0: StateVector) -> EvolutionReport:
     """R successive groundstate measurements at s = j/R (exact-projector mode).
 
-    With rng=None the report is deterministic: success_probability is the
-    closed-form product of consecutive squared groundstate overlaps and the
-    final state is the conditional (all-success) one.  With an rng, a single
-    measurement trajectory is sampled and `succeeded` records its outcome.
+    success_probability is the closed-form product of consecutive squared
+    groundstate overlaps and the final state is the conditional (all-success)
+    one.  `zeno_success_samples` draws trajectories from the per-step overlaps.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
@@ -317,33 +305,11 @@ def zeno_evolve(path: HamiltonianPath, R: int, psi0: StateVector,
     step_probs = np.array([
         abs(state_overlap(grid_states[j], grid_states[j + 1])) ** 2 for j in range(R)
     ])
-    exact_success = float(np.prod(step_probs))
-
-    if rng is None:
-        return EvolutionReport(
-            final_state=grid_states[-1],
-            success_probability=exact_success,
-            per_step_overlaps=step_probs,
-            steps=R,
-        )
-
-    cur = psi0.amplitudes.copy()
-    succeeded = True
-    for j in range(1, R + 1):
-        g = grid_states[j].amplitudes
-        p = abs(np.vdot(g, cur)) ** 2
-        if rng.random() < p:
-            cur = g.copy()
-        else:
-            cur = cur - np.vdot(g, cur) * g
-            cur = cur / np.linalg.norm(cur)
-            succeeded = False
     return EvolutionReport(
-        final_state=StateVector.from_amplitudes(cur, normalize=True),
-        success_probability=exact_success,
+        final_state=grid_states[-1],
+        success_probability=float(np.prod(step_probs)),
         per_step_overlaps=step_probs,
         steps=R,
-        succeeded=succeeded,
     )
 
 
@@ -476,10 +442,10 @@ def input_state(n: int, x: str) -> StateVector:
 def circuit_states(gates: GateSequence, x: str) -> list[StateVector]:
     """Intermediate states |alpha(j)> after each prefix of the sequence."""
     psi = input_state(gates.n, x).amplitudes
-    out = [StateVector.from_amplitudes(psi, normalize=True)]
+    out = [StateVector.from_amplitudes(psi)]
     for name, qubits in gates.gates:
         psi = apply_gate(psi, gates.n, name, qubits)
-        out.append(StateVector.from_amplitudes(psi, normalize=True))
+        out.append(StateVector.from_amplitudes(psi))
     return out
 
 

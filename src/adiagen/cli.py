@@ -241,6 +241,7 @@ def _load_circuit(cfg: dict) -> tuple[adiabatic.GateSequence, str]:
 
 def _run_zeno_run(cfg: dict, report: RunReport) -> None:
     _require(cfg, "shots", cfg["shots"] >= 1, ">= 1")
+    _require(cfg, "R_sweep", min(cfg["R_sweep"], default=0) >= 1, "a non-empty list of integers >= 1")
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
     psi0 = path.ground_state(0.0)
@@ -257,10 +258,11 @@ def _run_zeno_run(cfg: dict, report: RunReport) -> None:
 
 def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
     _require(cfg, "delta", cfg["delta"] > 0, "positive")
+    _require(cfg, "eps", cfg["eps"] > 0, "positive")
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
     eps = cfg["eps"]
-    cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1.0, eps=eps))
+    cond = adiabatic.check_adiabatic_condition(path)
     T = cfg["T"] or max(1.0, cond.max_ratio / eps)
     rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=eps), cfg["delta"],
                                        path.ground_state(0.0), cond)
@@ -273,6 +275,7 @@ def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
 
 def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
     _require(cfg, "grid", cfg["grid"] >= 1, ">= 1")
+    _require(cfg, "R", cfg["R"] >= 1, ">= 1")
     gates, x = _load_circuit(cfg)
     doubled = adiabatic.expand_sqrt(gates)
     states = adiabatic.circuit_states(doubled, x)
@@ -331,15 +334,17 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     n = cfg["n"]
     edge = cfg["removed_edge"]
     _require(cfg, "removed_edge", len(edge) == 2 and all(0 <= v < n for v in edge), f"two vertices in [0, {n})")
+    _require(cfg, "steps", cfg["steps"] >= 0, ">= 0")
+    _require(cfg, "R", cfg["R"] >= 1, ">= 1")
     target = {(u, v) for u in range(n) for v in range(n)} - {tuple(edge)}
     seed_state, space = markov.matchings_seed_qsample(n)
-    _, _, p_perfect = markov.project_perfect(seed_state, space)
+    _, p_perfect = markov.project_perfect(seed_state, space)
     seq, space_t = markov.anneal_weights_sequence(n, target, cfg["steps"], cfg["ratio"])
     sv = markov.check_slowly_varying(seq)
     rep = markov.qsample_sequence(seq, seed_state, mode="zeno", R=cfg["R"])
     target_state = markov.pi_state(seq.pis[-1])
     fid = abs(state_overlap(rep.final_state, target_state))
-    _, post, _ = markov.project_perfect(rep.final_state, space_t)
+    post, _ = markov.project_perfect(rep.final_state, space_t)
     target_perfect = [i for i in space_t.perfect_indices()
                       if all(e in space_t.target_edges for e in space_t.states[i])]
     amps = np.abs(post.amplitudes[target_perfect])

@@ -144,7 +144,7 @@ def pi_state(pi: StationaryDistribution) -> StateVector:
     N = pi.pi.size
     amps = np.zeros(_next_pow2(N), dtype=complex)
     amps[:N] = np.sqrt(pi.pi)
-    return StateVector.from_amplitudes(amps, normalize=True)
+    return StateVector.from_amplitudes(amps)
 
 
 def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]]) -> MarkovChain:
@@ -219,8 +219,7 @@ def check_slowly_varying(seq: ChainSequence) -> SlowVariationReport:
 
 
 def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
-                     R: int = 500, eps: float = 0.01, delta: float = 0.1,
-                     rng: np.random.Generator | None = None) -> adiabatic.EvolutionReport:
+                     R: int = 500, eps: float = 0.01, delta: float = 0.1) -> adiabatic.EvolutionReport:
     """Drive |pi_0> to |pi_T> along the jagged path of the chain Hamiltonians."""
     report = check_slowly_varying(seq)
     if not report.ok:
@@ -236,9 +235,11 @@ def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
             per_step_overlaps=np.ones(1), steps=0)
     path = adiabatic.jagged_path(targets)
     if mode == "zeno":
-        return adiabatic.zeno_evolve(path, R, targets[0], rng=rng)
+        return adiabatic.zeno_evolve(path, R, targets[0])
     if mode == "schrodinger":
-        cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1.0, eps=eps))
+        if not eps > 0:
+            raise ValueError("eps must be positive")
+        cond = adiabatic.check_adiabatic_condition(path)
         T = max(1.0, cond.max_ratio / eps)
         return adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=eps), delta, targets[0], cond)
     raise ValueError(f"unknown mode {mode!r}")
@@ -343,7 +344,7 @@ def matchings_seed_qsample(n: int) -> tuple[StateVector, MatchingSpace]:
             amps[space.index[m - {(u, v)}]] += perm_amp * (math.sqrt(n) / idx_norm)
     padded = np.zeros(_next_pow2(space.N), dtype=complex)
     padded[: space.N] = amps
-    return StateVector.from_amplitudes(padded, normalize=True), space
+    return StateVector.from_amplitudes(padded), space
 
 
 def anneal_weights_sequence(n: int, target_edges, steps: int, ratio: float) -> tuple[ChainSequence, MatchingSpace]:
@@ -363,12 +364,10 @@ def anneal_weights_sequence(n: int, target_edges, steps: int, ratio: float) -> t
     return ChainSequence(chains=tuple(chains), variation_threshold=0.5), space
 
 
-def project_perfect(state: StateVector, space: MatchingSpace,
-                    rng: np.random.Generator | None = None) -> tuple[int, StateVector, float]:
-    """Two-outcome measurement onto the perfect-matching subspace.
+def project_perfect(state: StateVector, space: MatchingSpace) -> tuple[StateVector, float]:
+    """Measurement onto the perfect-matching subspace, conditioned on success.
 
-    Returns (outcome, post_state, success_probability); outcome 1 means
-    perfect.  Without an rng the successful branch is returned.
+    Returns (post_state, success_probability).
     """
     perfect = space.perfect_indices()
     if not perfect:
@@ -377,7 +376,5 @@ def project_perfect(state: StateVector, space: MatchingSpace,
     mask[perfect] = True
     amps = state.amplitudes
     p = float(np.sum(np.abs(amps[mask]) ** 2))
-    success = True if rng is None else bool(rng.random() < p)
-    post = np.where(mask, amps, 0) if success else np.where(mask, 0, amps)
-    post = post / np.linalg.norm(post)
-    return (1 if success else 0), StateVector.from_amplitudes(post, normalize=True), p
+    post = np.where(mask, amps, 0)
+    return StateVector.from_amplitudes(post / np.linalg.norm(post)), p

@@ -47,7 +47,7 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError("amplitudes must be a nonempty vector")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
             raise ValueError(f"state not normalized: |psi| = {norm}")
 
     @property
@@ -60,11 +60,13 @@ class StateVector:
         return d.bit_length() - 1 if d & (d - 1) == 0 else None
 
     @staticmethod
-    def from_amplitudes(amps, normalize: bool = False) -> "StateVector":
+    def from_amplitudes(amps) -> "StateVector":
+        """The state along `amps`, scaled to unit norm; a zero or non-finite norm is rejected."""
         amps = _as_complex_array(amps)
-        if normalize:
-            amps = amps / np.linalg.norm(amps)
-        return StateVector(amps)
+        norm = np.linalg.norm(amps)
+        if not 0 < norm < np.inf:
+            raise ValueError(f"amplitudes have a zero or non-finite norm ({norm}); cannot normalize")
+        return StateVector(amps / norm)
 
     @staticmethod
     def basis(dim: int, index: int) -> "StateVector":
@@ -109,23 +111,6 @@ class UnitaryMatrix:
             raise ValueError(f"matrix not unitary: residual {resid}")
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-
-def decompose_hermitian(H: DenseHermitian) -> SpectralDecomposition:
-    vals, vecs = np.linalg.eigh(H.entries)
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
-
-
 def spectral_norm(A) -> float:
     """Largest singular value; for Hermitian input the largest |eigenvalue|."""
     m = A.entries if isinstance(A, DenseHermitian) else _as_complex_array(A)
@@ -136,9 +121,8 @@ def spectral_norm(A) -> float:
 
 def matrix_exponential(H: DenseHermitian, t: float) -> UnitaryMatrix:
     """e^{-iHt} via full eigendecomposition."""
-    dec = decompose_hermitian(H)
-    V = dec.eigenvectors
-    phases = np.exp(-1j * dec.eigenvalues * t)
+    vals, V = np.linalg.eigh(H.entries)
+    phases = np.exp(-1j * vals * t)
     return UnitaryMatrix((V * phases) @ V.conj().T)
 
 
@@ -189,13 +173,12 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 def ground_state(H: DenseHermitian) -> tuple[float, StateVector]:
     """Groundvalue and groundstate, phase-fixed; errors out on a gap below DEGENERACY_TOL."""
-    dec = decompose_hermitian(H)
-    vals = dec.eigenvalues
+    vals, vecs = np.linalg.eigh(H.entries)
     if vals.size >= 2 and vals[1] - vals[0] < DEGENERACY_TOL:
         raise DegenerateGroundstateError(
             f"groundstate degenerate: gap {vals[1] - vals[0]:.3e} < tol {DEGENERACY_TOL:.3e}")
-    v = _fix_phase(dec.eigenvectors[:, 0])
-    return float(vals[0]), StateVector.from_amplitudes(v, normalize=True)
+    v = _fix_phase(vecs[:, 0])
+    return float(vals[0]), StateVector.from_amplitudes(v)
 
 
 def state_overlap(psi: StateVector, phi: StateVector) -> complex:

@@ -32,39 +32,23 @@ MAX_TROTTER_STEPS = 1 << 20  # trotter_within's budget
 
 
 @dataclass(frozen=True)
-class RowOracle:
-    """Function from row index to its sorted nonzero (column, value) list."""
+class SparseHamiltonian:
+    """Hermitian operator on n qubits: row_fn(i) lists row i's (column, value) entries, in any order."""
 
     n: int
     row_fn: Callable[[int], list[tuple[int, complex]]]
+    D: int
+    lam: float  # spectral norm bound
 
     @property
     def dim(self) -> int:
         return 1 << self.n
 
-    def row(self, i: int) -> list[tuple[int, complex]]:
-        return sorted(self.row_fn(i), key=lambda cv: cv[0])
-
-
-@dataclass(frozen=True)
-class SparseHamiltonian:
-    oracle: RowOracle
-    D: int
-    lam: float  # spectral norm bound
-
-    @property
-    def n(self) -> int:
-        return self.oracle.n
-
-    @property
-    def dim(self) -> int:
-        return self.oracle.dim
-
     def materialize(self) -> DenseHermitian:
         N = self.dim
         H = np.zeros((N, N), dtype=complex)
         for i in range(N):
-            row = self.oracle.row(i)
+            row = self.row_fn(i)
             if len(row) > self.D:
                 raise InconsistentOracleError(f"row {i} has {len(row)} > D={self.D} nonzeros")
             for j, v in row:
@@ -86,7 +70,8 @@ def sparse_from_dense(H: DenseHermitian, D: int | None = None, lam: float | None
     entries = list(zip(c.tolist(), m[r, c].tolist()))
     rows = [entries[a:b] for a, b in zip([0] + ends[:-1], ends)]
     return SparseHamiltonian(
-        oracle=RowOracle(n=n, row_fn=lambda i, _rows=rows: _rows[i]),
+        n=n,
+        row_fn=lambda i, _rows=rows: _rows[i],
         D=D if D is not None else max(int(counts.max()), 1),
         lam=lam if lam is not None else spectral_norm(H),
     )
@@ -144,13 +129,14 @@ def _separating_moduli(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
     """Exact split of H into 2x2 combinatorially block-diagonal pieces, in O(nnz).
 
-    Each oracle row is read once.  Entry e of the flat row-major arrays (i, j, v)
-    finds its mirror (j, i) by binary search on the key i*N + j.  The pieces equal
+    Each oracle row is read once, and the nonzeros are put in row-major order by
+    one stable sort on the key i*N + j.  Entry e of the flat arrays (i, j, v)
+    finds its mirror (j, i) by binary search on that key.  The pieces equal
     grouping the upper-triangle entries by their color (k, i mod k, j mod k, row
     position, column position), in sorted color order.
     """
     N, D = H.dim, H.D
-    rows = [H.oracle.row(r) for r in range(N)]  # one oracle call per row
+    rows = [H.row_fn(r) for r in range(N)]  # one oracle call per row
     i = np.repeat(np.arange(N), [len(row) for row in rows])
     j = np.array([c for row in rows for c, _ in row], dtype=np.int64)
     v = np.array([x for row in rows for _, x in row], dtype=complex)
@@ -158,11 +144,13 @@ def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
     i, j, v = i[nonzero], j[nonzero], v[nonzero]
     if np.any((j < 0) | (j >= N)):
         raise InconsistentOracleError(f"column index outside [0, {N})")
+    key = i * N + j
+    order = np.argsort(key, kind="stable")  # rows in order, each sorted by column
+    i, j, v, key = i[order], j[order], v[order], key[order]
     counts = np.bincount(i, minlength=N)
     if np.any(counts > D):
         r = int(np.argmax(counts > D))
         raise InconsistentOracleError(f"row {r} has {counts[r]} > D={D} nonzeros")
-    key = i * N + j  # ascending: rows in order, each sorted by column
     if np.any(key[1:] == key[:-1]):
         raise InconsistentOracleError("a row lists the same column twice")
     position = np.arange(key.size) - (np.cumsum(counts) - counts)[i] + 1  # 1-based, within the row

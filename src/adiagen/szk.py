@@ -63,7 +63,7 @@ def qsample_exact(C: ClassicalCircuit) -> StateVector:
     if C.m > MAX_OUTPUT_BITS:
         raise ValueError(f"m = {C.m} too large for a dense state")
     dist = distribution_of(C)
-    return StateVector.from_amplitudes(np.sqrt(dist.probabilities), normalize=True)
+    return StateVector.from_amplitudes(np.sqrt(dist.probabilities))
 
 
 def variation(p: OutputDistribution, q: OutputDistribution) -> float:
@@ -182,7 +182,7 @@ DLP_PROMISE_FRACTION = 1 / 6  # x in [1, cp] is low, x in [p/2 + 1, p/2 + cp] is
 def _uniform_support_state(support: np.ndarray, dim: int) -> StateVector:
     mask = np.zeros(dim, dtype=bool)
     mask[support] = True  # a repeated index counts once
-    return StateVector.from_amplitudes(mask / math.sqrt(np.count_nonzero(mask)), normalize=True)
+    return StateVector.from_amplitudes(mask / math.sqrt(np.count_nonzero(mask)))
 
 
 def dlp_window_sizes(p: int) -> tuple[int, int]:
@@ -282,7 +282,7 @@ def _qr_state(nn: int, a: int) -> StateVector:
     """Qsample of C_a: r -> r^2 a mod nn, padded to a power-of-two dimension."""
     amps = np.zeros(1 << (nn - 1).bit_length(), dtype=complex)
     amps[:nn] = np.sqrt(qr_distribution(nn, a))
-    return StateVector.from_amplitudes(amps, normalize=True)
+    return StateVector.from_amplitudes(amps)
 
 
 def qr_nonresidue_max_overlap(nn: int) -> float:

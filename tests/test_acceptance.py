@@ -96,9 +96,9 @@ def test_03_gap_formula_exactness():
     worst_min = 0.0
     for _ in range(100):
         a = StateVector.from_amplitudes(
-            rng.normal(size=8) + 1j * rng.normal(size=8), normalize=True)
+            rng.normal(size=8) + 1j * rng.normal(size=8))
         b = StateVector.from_amplitudes(
-            rng.normal(size=8) + 1j * rng.normal(size=8), normalize=True)
+            rng.normal(size=8) + 1j * rng.normal(size=8))
         eta = float(rng.uniform(0.02, 0.98))
         H = DenseHermitian(
             (1 - eta) * adiabatic.projector_hamiltonian(a).entries
@@ -237,13 +237,13 @@ def _matchings_pipeline(n, steps=20, ratio=0.7, R=500):
     removed = (0, 0)
     target = {(u, v) for u in range(n) for v in range(n)} - {removed}
     seed, space0 = markov.matchings_seed_qsample(n)
-    _, _, p_perfect = markov.project_perfect(seed, space0)
+    _, p_perfect = markov.project_perfect(seed, space0)
     seq, space = markov.anneal_weights_sequence(n, target, steps, ratio)
     sv = markov.check_slowly_varying(seq)
     rep = markov.qsample_sequence(seq, seed, mode="zeno", R=R)
     target_state = markov.pi_state(markov.stationary(seq.chains[-1]))
     fid = abs(state_overlap(rep.final_state, target_state))
-    _, post, _ = markov.project_perfect(rep.final_state, space)
+    post, _ = markov.project_perfect(rep.final_state, space)
     tgt = [i for i in space.perfect_indices()
            if all(e in space.target_edges for e in space.states[i])]
     off_mass = 1.0 - float(np.sum(np.abs(post.amplitudes[tgt]) ** 2))

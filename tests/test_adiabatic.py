@@ -25,7 +25,7 @@ INV_SQRT2 = 1 / math.sqrt(2)
 
 def random_state(dim, rng):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector.from_amplitudes(v, normalize=True)
+    return StateVector.from_amplitudes(v)
 
 
 def state_pair_with_overlap(overlap, dim=2):
@@ -103,7 +103,7 @@ def jagged_instances(draw):
     for coincident in draw(st.lists(st.booleans(), min_size=L - 1, max_size=L - 1)):
         if coincident:
             phase = np.exp(1j * draw(st.floats(-math.pi, math.pi)))
-            states.append(StateVector.from_amplitudes(phase * states[-1].amplitudes, normalize=True))
+            states.append(StateVector.from_amplitudes(phase * states[-1].amplitudes))
         else:
             states.append(random_state(N, rng))
     s = draw(st.one_of(st.sampled_from([j / max(L - 1, 1) for j in range(L)] + [0.0, 1.0]),
@@ -136,23 +136,23 @@ class TestPathClosedForms:
 class TestAdiabaticCondition:
     def test_constant_path(self):
         path = adiabatic.jagged_path([StateVector.basis(2, 0)])
-        rep = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=0.1, eps=0.01))
+        rep = adiabatic.check_adiabatic_condition(path)
         assert rep.max_derivative_norm == pytest.approx(0.0, abs=1e-9)
-        assert rep.holds
+        assert 0.1 * 0.01 >= rep.max_ratio
 
     def test_linear_segment_derivative(self):
         a, b = state_pair_with_overlap(0.9)
         H0 = adiabatic.projector_hamiltonian(a)
         H1 = adiabatic.projector_hamiltonian(b)
         path = adiabatic.jagged_path([a, b])
-        rep = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=100, eps=0.1))
+        rep = adiabatic.check_adiabatic_condition(path)
         assert rep.max_derivative_norm == pytest.approx(
             spectral_norm(H1.entries - H0.entries), abs=1e-6)
 
     def test_compiled_path_derivative_bound(self):
         gates = adiabatic.GateSequence(n=2, gates=(("H", (0,)), ("X", (1,))))
         path = adiabatic.compile_circuit(gates, "00")
-        rep = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=100, eps=0.1))
+        rep = adiabatic.check_adiabatic_condition(path)
         m_prime = 2 * len(gates.gates)
         assert rep.max_derivative_norm <= 2 * m_prime + 1e-6
 
@@ -162,13 +162,13 @@ class TestEvolveDiscretized:
         psi = StateVector.basis(2, 0)
         path = adiabatic.jagged_path([psi])
         sched = adiabatic.Schedule(T=5, eps=0.1)
-        rep = adiabatic.evolve_discretized(path, sched, 0.1, psi, adiabatic.check_adiabatic_condition(path, sched))
+        rep = adiabatic.evolve_discretized(path, sched, 0.1, psi, adiabatic.check_adiabatic_condition(path))
         assert rep.success_probability == pytest.approx(1.0, abs=1e-9)
 
     def test_overlap_09_path_reaches_target(self):
         a, b = state_pair_with_overlap(0.9)
         path = adiabatic.jagged_path([a, b])
-        cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1, eps=0.01))
+        cond = adiabatic.check_adiabatic_condition(path)
         T = cond.max_ratio / 0.01
         rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=0.01), 0.02, a, cond)
         assert rep.success_probability >= 0.99
@@ -177,15 +177,15 @@ class TestEvolveDiscretized:
     def test_condition_judged_against_the_evolution_schedule(self):
         a, b = state_pair_with_overlap(0.9)
         path = adiabatic.jagged_path([a, b])
-        cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1e6, eps=0.01))
-        assert cond.holds
+        cond = adiabatic.check_adiabatic_condition(path)
+        assert 1e6 * 0.01 >= cond.max_ratio
         rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=1.0, eps=0.01), 0.1, a, cond)
         assert len(rep.warnings) == 1 and "adiabatic condition violated" in rep.warnings[0]
 
     def test_fidelity_improves_with_T(self):
         a, b = state_pair_with_overlap(0.8)
         path = adiabatic.jagged_path([a, b])
-        cond = adiabatic.check_adiabatic_condition(path, adiabatic.Schedule(T=1, eps=1.0))
+        cond = adiabatic.check_adiabatic_condition(path)
         fids = []
         for T in (2.0, 8.0, 32.0, 128.0):
             rep = adiabatic.evolve_discretized(
@@ -200,7 +200,7 @@ class TestEvolveDiscretized:
         sched = adiabatic.Schedule(T=1, eps=0.1)
         with pytest.raises(ValueError):
             adiabatic.evolve_discretized(
-                path, sched, 0.1, StateVector.basis(4, 3), adiabatic.check_adiabatic_condition(path, sched))
+                path, sched, 0.1, StateVector.basis(4, 3), adiabatic.check_adiabatic_condition(path))
 
 
 class TestPhaseEstimation:
@@ -224,7 +224,7 @@ class TestPhaseEstimation:
         rng = np.random.default_rng(52)
         H = self.make_h(rng)
         dec = np.linalg.eigh(H.entries)
-        psi = StateVector.from_amplitudes(dec.eigenvectors[:, -1], normalize=True)
+        psi = StateVector.from_amplitudes(dec.eigenvectors[:, -1])
         hits = sum(adiabatic.phase_estimation_project(H, psi, 10, rng)[0] == 1
                    for _ in range(200))
         assert hits >= 198
@@ -235,7 +235,7 @@ class TestPhaseEstimation:
         _, alpha = ground_state(H)
         rest = np.linalg.eigh(H.entries)[1][:, 1]
         psi = StateVector.from_amplitudes(
-            0.8 * alpha.amplitudes + 0.6 * rest, normalize=True)
+            0.8 * alpha.amplitudes + 0.6 * rest)
         shots = 10_000
         hits = sum(adiabatic.phase_estimation_project(H, psi, 10, rng)[0] == 0
                    for _ in range(shots))
@@ -319,12 +319,6 @@ class TestZeno:
         p = rep.success_probability
         sigma = math.sqrt(p * (1 - p) / shots)
         assert abs(wins / shots - p) <= 3 * sigma
-
-    def test_sampled_trajectory_flags_outcome(self):
-        a, b = state_pair_with_overlap(0.9)
-        path = adiabatic.jagged_path([a, b])
-        rep = adiabatic.zeno_evolve(path, 50, a, rng=np.random.default_rng(73))
-        assert rep.succeeded is not None
 
 
 class TestPerturbationBound:

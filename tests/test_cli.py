@@ -167,6 +167,12 @@ REJECTED = {
     "removed-edge-one-vertex": (["matchings-qsample", "--removed-edge", "0"], None, None, 2, "removed_edge"),
     "removed-edge-outside": (["matchings-qsample", "--removed-edge", "9", "9"], None, None, 2, "removed_edge"),
     "compile-grid-0": (["compile-circuit", "--grid", "0"], None, None, 2, "grid"),
+    "compile-R-0": (["compile-circuit", "--R", "0"], None, None, 2, "R must be >= 1, got 0"),
+    "zeno-R-sweep-0": (["zeno-run", "--R-sweep", "250", "0"], None, None, 2, "R_sweep must be"),
+    "zeno-R-sweep-empty": (["zeno-run"], {"R_sweep": []}, None, 2, "R_sweep must be"),
+    "qsample-R-0": (["matchings-qsample", "--R", "0"], None, None, 2, "R must be >= 1, got 0"),
+    "qsample-steps-negative": (["matchings-qsample", "--steps", "-1"], None, None, 2, "steps must be"),
+    "adiabatic-eps-0": (["adiabatic-run", "--eps", "0"], None, None, 2, "eps must be positive, got 0.0"),
     "markov-max-states-2": (["markov-spectrum", "--max-states", "2"], None, None, 2, "max_states"),
     "szk-dlp-p-4": (["szk-dlp", "--p", "4"], None, None, 2, "p must be"),
     "szk-dlp-p-7": (["szk-dlp", "--p", "7"], None, None, 2, "p must be"),
@@ -217,8 +223,8 @@ def parent_gap_formula(seed: int, trials: int, dim: int = 8):
     for _ in range(trials):
         a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        alpha = StateVector.from_amplitudes(a, normalize=True)
-        beta = StateVector.from_amplitudes(b, normalize=True)
+        alpha = StateVector.from_amplitudes(a)
+        beta = StateVector.from_amplitudes(b)
         eta = float(rng.uniform(0.05, 0.95))
         H = DenseHermitian((1 - eta) * adiabatic.projector_hamiltonian(alpha).entries
                            + eta * adiabatic.projector_hamiltonian(beta).entries)

@@ -384,7 +384,7 @@ class TestSeedQsample:
 
     def test_n2_perfect_mass(self):
         state, space = markov.matchings_seed_qsample(2)
-        _, _, p = markov.project_perfect(state, space)
+        _, p = markov.project_perfect(state, space)
         assert p == pytest.approx(0.2, abs=1e-9)
 
     def test_matches_direct_amplitude_oracle(self):
@@ -433,9 +433,9 @@ class TestProjectPerfect:
         amps = np.zeros(markov._next_pow2(space.N), dtype=complex)
         for i in space.perfect_indices():
             amps[i] = 1.0
-        state = StateVector.from_amplitudes(amps, normalize=True)
-        outcome, post, p = markov.project_perfect(state, space)
-        assert outcome == 1
+        state = StateVector.from_amplitudes(amps)
+        post, p = markov.project_perfect(state, space)
+        assert np.allclose(post.amplitudes, state.amplitudes)
         assert p == pytest.approx(1.0)
 
     def test_post_state_uniform_over_target_perfect(self):
@@ -443,19 +443,8 @@ class TestProjectPerfect:
         seq, space = markov.anneal_weights_sequence(2, target, 20, 0.7)
         seed, _ = markov.matchings_seed_qsample(2)
         rep = markov.qsample_sequence(seq, seed, mode="zeno", R=500)
-        _, post, _ = markov.project_perfect(rep.final_state, space)
+        post, _ = markov.project_perfect(rep.final_state, space)
         tgt = [i for i in space.perfect_indices()
                if all(e in space.target_edges for e in space.states[i])]
         mags = np.abs(post.amplitudes[tgt])
         assert np.max(mags) - np.min(mags) < 1e-8
-
-    def test_failure_branch(self):
-        space = markov.matchings_space(2)
-        amps = np.zeros(markov._next_pow2(space.N), dtype=complex)
-        near = [i for i in range(space.N) if i not in space.perfect_indices()]
-        amps[near[0]] = 1.0
-        state = StateVector.from_amplitudes(amps, normalize=True)
-        rng = np.random.default_rng(0)
-        outcome, post, p = markov.project_perfect(state, space, rng=rng)
-        assert outcome == 0
-        assert p == pytest.approx(0.0)

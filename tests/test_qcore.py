@@ -194,7 +194,7 @@ class TestStateOverlap:
         assert state_overlap(StateVector.basis(4, 0), StateVector.basis(4, 1)) == 0
 
     def test_plus_state(self):
-        plus = StateVector.from_amplitudes([1, 1], normalize=True)
+        plus = StateVector.from_amplitudes([1, 1])
         assert state_overlap(plus, StateVector.basis(2, 0)) == pytest.approx(1 / math.sqrt(2))
 
     def test_dimension_mismatch(self):
@@ -210,6 +210,19 @@ class TestStateVector:
     def test_qubit_count(self):
         assert StateVector.basis(8, 0).n == 3
         assert StateVector.basis(3, 0).n is None
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(np.array([np.nan, 1.0]))
+
+    def test_from_amplitudes_normalizes(self):
+        assert np.allclose(StateVector.from_amplitudes([3.0, 4.0j]).amplitudes, [0.6, 0.8j], rtol=0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error")  # rejected before dividing: no RuntimeWarning, no NaN state
+    @pytest.mark.parametrize("amps", [np.zeros(4), [1.0, np.nan], [np.inf, 0.0]], ids=["zero", "nan", "inf"])
+    def test_from_amplitudes_rejects_zero_or_non_finite_norm(self, amps):
+        with pytest.raises(ValueError, match="zero or non-finite norm"):
+            StateVector.from_amplitudes(amps)
 
 
 class TestRandomSparseHermitian:

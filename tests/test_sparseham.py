@@ -20,7 +20,6 @@ from adiagen.sparseham import (
     ColoringError,
     EntryColor,
     InconsistentOracleError,
-    RowOracle,
     SparseHamiltonian,
     decompose,
     piece_exponential,
@@ -55,7 +54,7 @@ def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
         k = _separating_modulus(i, j, n)
 
     def position(row: int, col: int) -> int:
-        for pos, (c, _v) in enumerate(H.oracle.row(row), start=1):
+        for pos, (c, _v) in enumerate(sorted(H.row_fn(row), key=lambda cv: cv[0]), start=1):
             if c == col:
                 return pos
         return 0
@@ -71,11 +70,11 @@ def row_scan_pieces(H):
 
     Colors come from `color_entry` on the oracle with its explicit zeros dropped.
     """
-    rows = [[(j, v) for j, v in H.oracle.row(i) if v != 0] for i in range(H.dim)]
-    H = replace(H, oracle=RowOracle(n=H.n, row_fn=lambda i: rows[i]))
+    rows = [sorted([(j, v) for j, v in H.row_fn(i) if v != 0], key=lambda cv: cv[0]) for i in range(H.dim)]
+    H = replace(H, row_fn=lambda i: rows[i])
     groups = {}
     for i in range(H.dim):
-        for j, v in H.oracle.row(i):
+        for j, v in rows[i]:
             if j >= i:
                 groups.setdefault(color_entry(H, i, j), []).append((i, j, v))
     pieces = []
@@ -101,7 +100,7 @@ def oracles(draw):
         rng.shuffle(row)
         rows.append(row)
     D = max(1, max(len(row) for row in rows))  # materialize counts the zeros against D
-    return SparseHamiltonian(RowOracle(n=n, row_fn=lambda i: rows[i]), D=D, lam=1.0)
+    return SparseHamiltonian(n, lambda i: rows[i], D=D, lam=1.0)
 
 
 # name -> (rows of a 2x2 oracle, D, error decompose raises)
@@ -201,32 +200,28 @@ class TestDecompose:
                 total[p.j, p.i] += np.conjugate(p.values)
         assert np.array_equal(total, H.materialize().entries)
 
-    def test_one_oracle_call_per_row(self, monkeypatch):
+    def test_one_oracle_call_per_row(self):
         H = sparse_from_dense(random_sparse_hermitian(5, 4, 1.0, seed=3))
-        calls, reads = [], []
-        spy = replace(H, oracle=RowOracle(n=H.n, row_fn=lambda i: calls.append(i) or H.oracle.row_fn(i)))
-        row = RowOracle.row  # counts row reads through any oracle, including one built inside decompose
-        monkeypatch.setattr(RowOracle, "row", lambda oracle, i: reads.append(i) or row(oracle, i))
-        decompose(spy)
-        assert sorted(calls) == sorted(reads) == list(range(H.dim))
+        calls = []
+        decompose(replace(H, row_fn=lambda i: calls.append(i) or H.row_fn(i)))
+        assert sorted(calls) == list(range(H.dim))
 
     @pytest.mark.parametrize("rows, D, error", BAD_ORACLES.values(), ids=BAD_ORACLES.keys())
     def test_bad_oracle_rejected(self, rows, D, error):
         with pytest.raises(error):
-            decompose(SparseHamiltonian(RowOracle(n=1, row_fn=lambda i: rows[i]), D=D, lam=1.0))
+            decompose(SparseHamiltonian(1, lambda i: rows[i], D=D, lam=1.0))
 
     def test_shared_block_index_rejected(self, monkeypatch):
         # With k = 2 for every pair, (0, 2) and (2, 4) get one color and share index 2.
         rows = {0: [(1, 1.0), (2, 1.0)], 1: [(0, 1.0)], 2: [(0, 1.0), (4, 1.0)], 4: [(2, 1.0)]}
-        H = SparseHamiltonian(RowOracle(n=3, row_fn=lambda i: rows.get(i, [])), D=2, lam=1.0)
+        H = SparseHamiltonian(3, lambda i: rows.get(i, []), D=2, lam=1.0)
         monkeypatch.setattr(sparseham, "_separating_moduli", lambda i, j, n: np.where(i == j, 1, 2))
         with pytest.raises(ColoringError, match="share indices"):
             decompose(H)
 
     def test_inconsistent_oracle_rejected(self):
         rows = {0: [(1, 1.0 + 0j)], 1: []}
-        bad = SparseHamiltonian(
-            oracle=RowOracle(n=1, row_fn=lambda i: rows[i]), D=2, lam=1.0)
+        bad = SparseHamiltonian(1, lambda i: rows[i], D=2, lam=1.0)
         with pytest.raises(InconsistentOracleError):
             bad.materialize()
 
@@ -352,8 +347,7 @@ class TestSimulateSparse:
         m, N = H.entries, H.dim
         rows = [[(j, complex(m[i, j])) for j in range(N) if m[i, j] != 0 or rng.random() < 0.5]
                 for i in range(N)]
-        with_zeros = SparseHamiltonian(RowOracle(n=N.bit_length() - 1, row_fn=lambda i: rows[i]),
-                                       D=N, lam=1.0)
+        with_zeros = SparseHamiltonian(N.bit_length() - 1, lambda i: rows[i], D=N, lam=1.0)
         plain = sparse_from_dense(H, D=N, lam=1.0)
         got, want = decompose(with_zeros), decompose(plain)
         assert len(got) == len(want)
@@ -400,7 +394,7 @@ class TestInstances:
             m = H.entries
             for i in range(H.dim):
                 nz = np.flatnonzero(m[i])
-                assert sh.oracle.row_fn(i) == list(zip(nz.tolist(), m[i, nz].tolist()))
+                assert sh.row_fn(i) == list(zip(nz.tolist(), m[i, nz].tolist()))
             assert sh.D == max(np.count_nonzero(m, axis=1).max(), 1)
 
     @settings(max_examples=60, deadline=None)
@@ -409,4 +403,4 @@ class TestInstances:
         sh = sparse_from_dense(H)
         for i in range(H.dim):
             nz = np.flatnonzero(H.entries[i])
-            assert sh.oracle.row_fn(i) == list(zip(nz.tolist(), H.entries[i, nz].tolist()))
+            assert sh.row_fn(i) == list(zip(nz.tolist(), H.entries[i, nz].tolist()))
