@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,52 +31,122 @@ from .qcore import (
 )
 
 
+class _Frames(NamedTuple):
+    """Per-segment data of a jagged path, taken once: segment j runs from a = a_j to b = a_{j+1}."""
+
+    e: np.ndarray  # S x N: {a, e} is an orthonormal frame of span{a, b}; e = 0 where b is a phase times a
+    ov: np.ndarray  # <a|b>, complex(np.vdot(a, b))
+    ov_mag: list[float]  # abs(complex(<a|b>)): floats, so that the gap formula squares them as at one s
+    width: np.ndarray  # ||b - <a|b> a||
+    b_e: np.ndarray  # <e|b>: b = <a|b> a + <e|b> e
+
+
+def _runs(seg: np.ndarray) -> list[tuple[int, int, int]]:
+    """(segment, start, stop) for each run of equal entries of `seg`."""
+    cuts = (np.flatnonzero(np.diff(seg)) + 1).tolist()
+    return [(int(seg[lo]), lo, hi) for lo, hi in zip([0, *cuts], [*cuts, len(seg)])]
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianPath:
     """Jagged path through the projectors I - |a_j><a_j|, with a_j reached at s = j/(L-1).
 
-    Each segment (1-eta)(I-|a><a|) + eta(I-|b><b|) is the identity outside
-    span{a, b}, so the methods are O(N) closed forms.
+    Segment j, H = (1-eta)(I-|a><a|) + eta(I-|b><b|) with a = a_j and b = a_{j+1},
+    is the identity outside span{a, b}, up to the phase e^{-it}.  The path takes
+    <a|b>, ||b - <a|b>a|| and an orthonormal frame {a, e} of span{a, b} once per
+    segment (`_frames`, O(L N) in all).  Gaps, derivative norms and groundstate
+    frame coordinates at any s are then O(1) closed forms.  `evolve_discretized`
+    runs each segment's steps as 2x2 matvecs on the frame coordinates of the
+    state and `zeno_evolve` overlaps groundstates as frame 2-vectors; an N-vector
+    is formed only where a segment starts or ends, so they cost O(L N + steps)
+    and O(L N + R).
     """
 
     states: np.ndarray  # L x N: the groundstates a_0 ... a_{L-1}
 
-    def _segment(self, s: float) -> tuple[np.ndarray, np.ndarray, float, complex, float]:
-        """(a, b, eta, <a|b>, gap) at s; a one-state path has a = b."""
+    @cached_property
+    def _frames(self) -> _Frames:
+        S = max(len(self.states) - 1, 1)  # a one-state path is one segment from a_0 to itself
+        A, B = self.states[:S], self.states[-S:]
+        ov = np.array([complex(np.vdot(a, b)) for a, b in zip(A, B)])
+        R = B - ov[:, None] * A
+        width = np.array([np.linalg.norm(r) for r in R])
+        R -= np.sum(A.conj() * R, axis=1, keepdims=True) * A  # keeps e orthogonal to a when b is near a phase times a
+        r_norm = np.linalg.norm(R, axis=1, keepdims=True)
+        keep = r_norm > width[:, None] / 2  # else b - <a|b>a was rounding error along a, and e = 0
+        E = np.divide(R, r_norm, out=np.zeros_like(R), where=keep)
+        return _Frames(E, ov, [abs(v) for v in ov.tolist()], width, np.sum(E.conj() * B, axis=1))
+
+    def _locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(segment, eta) at each s; the one-state path sits at eta = 1."""
         L = len(self.states)
-        x = min(max(s, 0.0), 1.0) * (L - 1)
-        j = min(int(x), L - 2)  # -1 when L == 1, and states[-1] is states[0]
-        a, b = self.states[j], self.states[j + 1]
-        ov = complex(np.vdot(a, b))
-        return a, b, x - j, ov, two_projector_gap_formula(abs(ov), x - j)
+        x = np.clip(s, 0.0, 1.0) * (L - 1)
+        j = np.minimum(np.floor(x), L - 2)
+        return np.maximum(j, 0).astype(int), x - j
 
-    def gap(self, s: float) -> float:
-        return self._segment(s)[4]
+    def _ground_coords(self, j: int, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gap and unit top eigenvector of (1-eta)|a><a| + eta|b><b| on segment j, the latter as
+        frame coordinates (on a, on e)."""
+        f = self._frames
+        gap = two_projector_gap_formula(f.ov_mag[j], eta)
+        beta = (1 + gap) / 2 - 1 + eta
+        g_a, g_e = (1 - eta + beta) * f.ov[j], beta * f.b_e[j]
+        norm = np.hypot(np.abs(g_a), np.abs(g_e))
+        return gap, g_a / norm, g_e / norm
 
-    def derivative_norm(self, s: float) -> float:
-        """||dH/ds|| = (L-1) ||b - <a|b> a||; (L-1) sqrt(1 - |<a|b>|^2) reads ~1e-8 where a and b coincide."""
-        a, b, _, ov, _ = self._segment(s)
-        return (len(self.states) - 1) * float(np.linalg.norm(b - ov * a))
+    def _lift(self, j: int, c_a: complex, c_e: complex) -> np.ndarray:
+        return c_a * self.states[j] + c_e * self._frames.e[j]
+
+    def gap(self, s):
+        """Gap at s, a float or an array; an array gives bit for bit the gaps of its points one at a time."""
+        seg, eta = self._locate(np.atleast_1d(np.asarray(s, dtype=float)))
+        gaps = np.empty_like(eta)
+        for j, lo, hi in _runs(seg):
+            gaps[lo:hi] = two_projector_gap_formula(self._frames.ov_mag[j], eta[lo:hi])
+        return gaps if np.ndim(s) else float(gaps[0])
+
+    def derivative_norm(self, s):
+        """||dH/ds|| = (L-1) ||b - <a|b> a|| at s, a float or an array.
+
+        (L-1) sqrt(1 - |<a|b>|^2) would read ~1e-8 where a and b coincide.
+        """
+        seg, _ = self._locate(np.asarray(s, dtype=float))
+        norms = (len(self.states) - 1) * self._frames.width[seg]
+        return norms if np.ndim(s) else float(norms)
+
+    def _grounds(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(segment, groundstate coordinate on a, on e) at each s."""
+        seg, eta = self._locate(s)
+        g_a, g_e = np.empty(len(s), complex), np.empty(len(s), complex)
+        for j, lo, hi in _runs(seg):
+            _, g_a[lo:hi], g_e[lo:hi] = self._ground_coords(j, eta[lo:hi])
+        return seg, g_a, g_e
 
     def ground_state(self, s: float) -> StateVector:
         """Top eigenvector of (1-eta)|a><a| + eta|b><b|, phase-fixed as `qcore.ground_state` does."""
-        a, b, eta, ov, gap = self._segment(s)
-        v = (1 - eta) * ov * a + ((1 + gap) / 2 - 1 + eta) * b
+        seg, g_a, g_e = self._grounds(np.array([s], dtype=float))
+        v = self._lift(seg[0], g_a[0], g_e[0])
         return StateVector(_fix_phase(v / np.linalg.norm(v)))
 
-    def evolve(self, s: float, t: float, psi: np.ndarray) -> np.ndarray:
-        """e^{-iH(s)t} psi = e^{-it} e^{itM} psi with M = (1-eta)|a><a| + eta|b><b|.
+    def _evolve_segment(self, j: int, eta: np.ndarray, dt: float, psi: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """psi after e^{-iH(s)dt} at each eta of segment j in turn, and its squared groundstate overlap after each.
 
-        M has eigenvalues lo, hi = (1 -+ gap)/2 on span{a, b} and 0 elsewhere, so
-        e^{itM} psi = psi + f(lo) M psi + (f(hi) - f(lo))/gap (M - lo) M psi
-        with f(x) = (e^{itx} - 1)/x, which np.sinc keeps finite at x = 0.
+        On the frame, H(s) has eigenvalues (1 -+ gap)/2 with the groundstate g at the
+        lower one, so e^{-iH dt} = p_hi I + (p_lo - p_hi)|g><g| with p = e^{-i dt (1 -+ gap)/2};
+        off the frame it is the phase e^{-i dt}.  A step leaves |<g|psi>| as it was.
         """
-        a, b, eta, _, gap = self._segment(s)
-        lo, hi = (1 - gap) / 2, (1 + gap) / 2
-        f_lo, f_hi = (1j * t * np.exp(0.5j * t * x) * np.sinc(t * x / (2 * np.pi)) for x in (lo, hi))
-        Mpsi = (1 - eta) * np.vdot(a, psi) * a + eta * np.vdot(b, psi) * b
-        MMpsi = (1 - eta) * np.vdot(a, Mpsi) * a + eta * np.vdot(b, Mpsi) * b
-        return np.exp(-1j * t) * (psi + f_lo * Mpsi + (f_hi - f_lo) / gap * (MMpsi - lo * Mpsi))
+        a, e = self.states[j], self._frames.e[j]
+        gap, g_a, g_e = self._ground_coords(j, eta)
+        p_hi = np.exp(-0.5j * dt * (1 + gap))
+        c_a, c_e = complex(np.vdot(a, psi)), complex(np.vdot(e, psi))
+        rest = psi - c_a * a - c_e * e
+        overlaps = []
+        for u_a, u_e, p, dp in zip(g_a.tolist(), g_e.tolist(), p_hi.tolist(),
+                                   (np.exp(-0.5j * dt * (1 - gap)) - p_hi).tolist()):
+            d = u_a.conjugate() * c_a + u_e.conjugate() * c_e  # <g|psi>
+            overlaps.append(abs(d) ** 2)
+            c_a, c_e = p * c_a + dp * d * u_a, p * c_e + dp * d * u_e
+        return np.exp(-1j * dt * len(eta)) * rest + self._lift(j, c_a, c_e), overlaps
 
 
 @dataclass(frozen=True)
@@ -141,28 +212,33 @@ CONDITION_GRID = 64  # points of the open s-grid; the pinned reference ratios we
 
 
 def check_adiabatic_condition(path: HamiltonianPath) -> ConditionReport:
-    """Worst ||dH/ds|| / gap^2 over an open grid; a schedule meets the condition iff T*eps covers it."""
-    max_ratio, worst_s, max_deriv = 0.0, 0.0, 0.0
-    for s in np.linspace(1e-5, 1 - 1e-5, CONDITION_GRID):
-        s = float(s)
-        gap = path.gap(s)
+    """Worst ||dH/ds|| / gap^2 over an open grid; a schedule meets the condition iff T*eps covers it.
+
+    Gaps and derivative norms come from the path's per-segment values, O(1) per
+    grid point; each ratio is taken in floats, as the pinned reference ratios were.
+    """
+    s = np.linspace(1e-5, 1 - 1e-5, CONDITION_GRID)
+    derivs = path.derivative_norm(s).tolist()
+    max_ratio, worst_s = 0.0, 0.0
+    for s_k, gap, deriv in zip(s.tolist(), path.gap(s).tolist(), derivs):
         if gap < DEGENERACY_TOL:
-            raise DegenerateGroundstateError(f"path degenerate at s={s}: gap {gap}")
-        deriv = path.derivative_norm(s)
-        max_deriv = max(max_deriv, deriv)
+            raise DegenerateGroundstateError(f"path degenerate at s={s_k}: gap {gap}")
         ratio = deriv / gap**2
         if ratio > max_ratio:
-            max_ratio, worst_s = ratio, s
-    return ConditionReport(max_ratio=max_ratio, worst_s=worst_s, max_derivative_norm=max_deriv)
+            max_ratio, worst_s = ratio, s_k
+    return ConditionReport(max_ratio=max_ratio, worst_s=worst_s, max_derivative_norm=max(derivs))
 
 
 def evolve_discretized(path: HamiltonianPath, sched: Schedule, delta: float,
                        psi0: StateVector, cond: ConditionReport) -> EvolutionReport:
-    """Product of e^{-i H(s_j) delta} over a uniform s-grid with T ds = delta.
+    """Product of e^{-i H(s_k) dt} at the midpoints s_k of a uniform s-grid, dt = T / round(T / delta).
 
     `cond` is `check_adiabatic_condition` of this path: the condition is
     judged against `sched` here.  success_probability reports
     the squared overlap of the final state with the final groundstate.
+    Each segment's run of steps is a run of 2x2 matvecs in that segment's frame
+    (`HamiltonianPath._evolve_segment`), so the evolution costs O(L N + steps):
+    the state is an N-vector only between segments.
     """
     if abs(abs(state_overlap(psi0, path.ground_state(0.0))) - 1.0) > 1e-6:
         raise ValueError("psi0 is not the groundstate of H(0)")
@@ -174,12 +250,11 @@ def evolve_discretized(path: HamiltonianPath, sched: Schedule, delta: float,
         )
     steps = max(1, round(sched.T / delta))
     dt = sched.T / steps
-    psi = psi0.amplitudes.copy()
+    psi = psi0.amplitudes
     overlaps = np.empty(steps)
-    for j in range(steps):
-        s = (j + 0.5) / steps
-        psi = path.evolve(s, dt, psi)
-        overlaps[j] = abs(np.vdot(path.ground_state(s).amplitudes, psi)) ** 2
+    seg, eta = path._locate((np.arange(steps) + 0.5) / steps)
+    for j, lo, hi in _runs(seg):
+        psi, overlaps[lo:hi] = path._evolve_segment(j, eta[lo:hi], dt, psi)
     fidelity_sq = abs(np.vdot(path.ground_state(1.0).amplitudes, psi)) ** 2
     return EvolutionReport(
         final_state=StateVector.from_amplitudes(psi),
@@ -296,17 +371,20 @@ def zeno_evolve(path: HamiltonianPath, R: int, psi0: StateVector) -> EvolutionRe
     success_probability is the closed-form product of consecutive squared
     groundstate overlaps and the final state is the conditional (all-success)
     one.  `zeno_success_samples` draws trajectories from the per-step overlaps.
+    Consecutive groundstates on one segment overlap as 2-vectors of its frame;
+    only the pairs that straddle segments are lifted to N-vectors.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
-    grid_states = [path.ground_state(j / R) for j in range(R + 1)]
-    if abs(abs(state_overlap(psi0, grid_states[0])) - 1.0) > 1e-6:
+    if abs(abs(state_overlap(psi0, path.ground_state(0.0))) - 1.0) > 1e-6:
         raise ValueError("psi0 is not the groundstate of H(0)")
-    step_probs = np.array([
-        abs(state_overlap(grid_states[j], grid_states[j + 1])) ** 2 for j in range(R)
-    ])
+    seg, g_a, g_e = path._grounds(np.arange(R + 1) / R)
+    step = g_a[:-1].conj() * g_a[1:] + g_e[:-1].conj() * g_e[1:]
+    for k in np.flatnonzero(np.diff(seg)).tolist():
+        step[k] = np.vdot(path._lift(seg[k], g_a[k], g_e[k]), path._lift(seg[k + 1], g_a[k + 1], g_e[k + 1]))
+    step_probs = np.abs(step) ** 2
     return EvolutionReport(
-        final_state=grid_states[-1],
+        final_state=path.ground_state(1.0),
         success_probability=float(np.prod(step_probs)),
         per_step_overlaps=step_probs,
         steps=R,

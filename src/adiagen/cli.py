@@ -259,6 +259,7 @@ def _run_zeno_run(cfg: dict, report: RunReport) -> None:
 def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
     _require(cfg, "delta", cfg["delta"] > 0, "positive")
     _require(cfg, "eps", cfg["eps"] > 0, "positive")
+    _require(cfg, "target_fidelity", 0 <= cfg["target_fidelity"] <= 1, "in [0, 1]")
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
     eps = cfg["eps"]
@@ -268,6 +269,7 @@ def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
                                        path.ground_state(0.0), cond)
     report.scalars["T"] = T
     report.scalars["max_condition_ratio"] = cond.max_ratio
+    report.scalars["worst_condition_s"] = cond.worst_s
     report.scalars["final_fidelity_sq"] = rep.success_probability
     report.flags["condition_holds"] = T * eps >= cond.max_ratio
     report.flags["reached_target"] = rep.success_probability >= cfg["target_fidelity"]
@@ -276,21 +278,22 @@ def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
 def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
     _require(cfg, "grid", cfg["grid"] >= 1, ">= 1")
     _require(cfg, "R", cfg["R"] >= 1, ">= 1")
+    _require(cfg, "target_fidelity", 0 <= cfg["target_fidelity"] <= 1, "in [0, 1]")
     gates, x = _load_circuit(cfg)
     doubled = adiabatic.expand_sqrt(gates)
     states = adiabatic.circuit_states(doubled, x)
     overlaps = [abs(state_overlap(a, b)) for a, b in zip(states, states[1:])]
     path = adiabatic.jagged_path(states)
-    gaps = [path.gap(s) for s in np.linspace(0, 1, cfg["grid"])]
+    min_gap = float(np.min(path.gap(np.linspace(0, 1, cfg["grid"]))))
     rep = adiabatic.zeno_evolve(path, cfg["R"], states[0])
     target = adiabatic.simulate_circuit(gates, x)
     fid = abs(state_overlap(rep.final_state, target))
     inv_sqrt2 = 1 / math.sqrt(2)
     report.scalars["min_consecutive_overlap"] = min(overlaps) if overlaps else 1.0
-    report.scalars["min_sampled_gap"] = min(gaps)
+    report.scalars["min_sampled_gap"] = min_gap
     report.scalars["zeno_fidelity"] = fid
     report.flags["overlaps_above_inv_sqrt2"] = all(o >= inv_sqrt2 - 1e-12 for o in overlaps)
-    report.flags["gaps_above_inv_sqrt2"] = min(gaps) >= inv_sqrt2 - 1e-9
+    report.flags["gaps_above_inv_sqrt2"] = min_gap >= inv_sqrt2 - 1e-9
     report.flags["matches_circuit_output"] = fid >= cfg["target_fidelity"]
 
 
@@ -336,6 +339,7 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     _require(cfg, "removed_edge", len(edge) == 2 and all(0 <= v < n for v in edge), f"two vertices in [0, {n})")
     _require(cfg, "steps", cfg["steps"] >= 0, ">= 0")
     _require(cfg, "R", cfg["R"] >= 1, ">= 1")
+    _require(cfg, "target_fidelity", 0 <= cfg["target_fidelity"] <= 1, "in [0, 1]")
     target = {(u, v) for u in range(n) for v in range(n)} - {tuple(edge)}
     seed_state, space = markov.matchings_seed_qsample(n)
     _, p_perfect = markov.project_perfect(seed_state, space)

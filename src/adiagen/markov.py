@@ -376,5 +376,7 @@ def project_perfect(state: StateVector, space: MatchingSpace) -> tuple[StateVect
     mask[perfect] = True
     amps = state.amplitudes
     p = float(np.sum(np.abs(amps[mask]) ** 2))
+    if p == 0:
+        raise ValueError("the perfect-matching outcome has probability 0 on this state")
     post = np.where(mask, amps, 0)
     return StateVector.from_amplitudes(post / np.linalg.norm(post)), p

@@ -1,6 +1,7 @@
 """Reference oracles that the package's routines are tested against.
 
-`path_hamiltonian` is the dense H(s) of a jagged path, `padded_chain_hamiltonian`
+`path_hamiltonian` is the dense H(s) of a jagged path and `condition_reference`
+its adiabatic condition taken point by point, `padded_chain_hamiltonian`
 embeds a chain Hamiltonian in power-of-two dimension,
 `direct_seed_amplitudes` writes the matchings seed state down directly, and
 `fidelity` is the classical fidelity that Qsample overlaps equal.
@@ -9,17 +10,45 @@ import math
 
 import numpy as np
 
+from adiagen.adiabatic import CONDITION_GRID, ConditionReport, two_projector_gap_formula
 from adiagen.markov import MarkovChain, MatchingSpace, StationaryDistribution, _next_pow2, chain_hamiltonian
-from adiagen.qcore import DenseHermitian
+from adiagen.qcore import DEGENERACY_TOL, DegenerateGroundstateError, DenseHermitian
 from adiagen.szk import OutputDistribution
 
 PAD_ENERGY = 3.0  # above the [0, 2] spectrum of any chain Hamiltonian
 
 
+def path_segment(path, s: float):
+    """(a, b, eta) of the segment of `path` at s; a one-state path has a = b at eta = 1."""
+    L = len(path.states)
+    x = min(max(s, 0.0), 1.0) * (L - 1)
+    j = min(int(x), L - 2)  # -1 when L == 1, and states[-1] is states[0]
+    return path.states[j], path.states[j + 1], x - j
+
+
 def path_hamiltonian(path, s: float) -> DenseHermitian:
     """H(s) = (1-eta)(I-|a><a|) + eta(I-|b><b|) on the segment of `path` at s."""
-    a, b, eta, _, _ = path._segment(s)
+    a, b, eta = path_segment(path, s)
     return DenseHermitian(np.eye(a.size) - (1 - eta) * np.outer(a, a.conj()) - eta * np.outer(b, b.conj()))
+
+
+def condition_reference(path) -> ConditionReport:
+    """The adiabatic condition point by point on CONDITION_GRID, each point's <a|b> and
+    ||b - <a|b>a|| taken from the N-vectors."""
+    max_ratio, worst_s, max_deriv = 0.0, 0.0, 0.0
+    for s in np.linspace(1e-5, 1 - 1e-5, CONDITION_GRID):
+        s = float(s)
+        a, b, eta = path_segment(path, s)
+        ov = complex(np.vdot(a, b))
+        gap = two_projector_gap_formula(abs(ov), eta)
+        if gap < DEGENERACY_TOL:
+            raise DegenerateGroundstateError(f"path degenerate at s={s}: gap {gap}")
+        deriv = (len(path.states) - 1) * float(np.linalg.norm(b - ov * a))
+        max_deriv = max(max_deriv, deriv)
+        ratio = deriv / gap**2
+        if ratio > max_ratio:
+            max_ratio, worst_s = ratio, s
+    return ConditionReport(max_ratio=max_ratio, worst_s=worst_s, max_derivative_norm=max_deriv)
 
 
 def padded_chain_hamiltonian(M: MarkovChain, pi: StationaryDistribution | None = None) -> DenseHermitian:

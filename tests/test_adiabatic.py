@@ -18,7 +18,7 @@ from adiagen.qcore import (
     spectral_norm,
     state_overlap,
 )
-from dense_references import path_hamiltonian
+from dense_references import condition_reference, path_hamiltonian
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -94,10 +94,8 @@ class TestJaggedPath:
             adiabatic.jagged_path([StateVector.basis(2, 0), StateVector.basis(2, 1)])
 
 
-@st.composite
-def jagged_instances(draw):
-    """(states, s, t, psi): N in 2..16, L in 1..5, some states a phase times the one before."""
-    N, L = draw(st.integers(2, 16)), draw(st.integers(1, 5))
+def jagged_states(draw, N, L):
+    """L random states in dim N, some a phase times the one before."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     states = [random_state(N, rng)]
     for coincident in draw(st.lists(st.booleans(), min_size=L - 1, max_size=L - 1)):
@@ -106,23 +104,30 @@ def jagged_instances(draw):
             states.append(StateVector.from_amplitudes(phase * states[-1].amplitudes))
         else:
             states.append(random_state(N, rng))
+    return states, rng
+
+
+@st.composite
+def jagged_instances(draw):
+    """(states, s): N in 2..16, L in 1..5, some states a phase times the one before."""
+    L = draw(st.integers(1, 5))
+    states, _ = jagged_states(draw, draw(st.integers(2, 16)), L)
     s = draw(st.one_of(st.sampled_from([j / max(L - 1, 1) for j in range(L)] + [0.0, 1.0]),
                        st.floats(0.0, 1.0)))
-    return states, s, draw(st.floats(-3.0, 3.0)), random_state(N, rng).amplitudes
+    return states, s
 
 
 class TestPathClosedForms:
-    """Every O(N) path method against the dense H(s) = path_hamiltonian(path, s)."""
+    """Every closed-form path method against the dense H(s) = path_hamiltonian(path, s)."""
 
     @settings(max_examples=400, deadline=None)
     @given(jagged_instances())
     def test_matches_dense_oracle(self, instance):
-        states, s, t, psi = instance
+        states, s = instance
         path = adiabatic.jagged_path(states)
         H = path_hamiltonian(path, s)
         assert abs(state_overlap(path.ground_state(s), ground_state(H)[1])) >= 1 - 1e-10
         assert abs(path.gap(s) - spectral_gap(H)) <= 1e-10
-        assert np.max(np.abs(path.evolve(s, t, psi) - matrix_exponential(H, t).entries @ psi)) <= 1e-10
         L = len(states)
         if L == 1:
             want = 0.0
@@ -131,6 +136,70 @@ class TestPathClosedForms:
             want = (L - 1) * spectral_norm(adiabatic.projector_hamiltonian(states[j + 1]).entries
                                            - adiabatic.projector_hamiltonian(states[j]).entries)
         assert abs(path.derivative_norm(s) - want) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(jagged_instances(), st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=20))
+    def test_array_argument_gives_each_points_value(self, instance, grid):
+        path = adiabatic.jagged_path(instance[0])
+        grid = np.array(grid)
+        assert path.gap(grid).tolist() == [path.gap(s) for s in grid.tolist()]
+        assert path.derivative_norm(grid).tolist() == [path.derivative_norm(s) for s in grid.tolist()]
+
+
+@st.composite
+def frame_instances(draw):
+    """(path, psi0): L in 2..8, N in 2..64, some states a phase times the one before (a frame of
+    zero width), psi0 the first state or that plus 1e-4 times a unit vector off the path's span."""
+    N, L = draw(st.integers(2, 64)), draw(st.integers(2, 8))
+    states, rng = jagged_states(draw, N, L)
+    psi0 = states[0].amplitudes
+    if draw(st.booleans()):
+        # off every state when L < N; else off the first, where the frames still cover part of it
+        span = np.linalg.qr(np.array([a.amplitudes for a in states[:N - 1]]).T)[0]
+        w = random_state(N, rng).amplitudes
+        w = w - span @ (span.conj().T @ w)
+        psi0 = psi0 + 1e-4 * w / np.linalg.norm(w)
+    return adiabatic.jagged_path(states), StateVector.from_amplitudes(psi0)
+
+
+def dense_ground(path, s: float) -> np.ndarray:
+    return ground_state(path_hamiltonian(path, s))[1].amplitudes
+
+
+class TestFrameEngine:
+    """The per-segment 2x2 routes against dense H(s) from path_hamiltonian."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_instances(), st.floats(0.5, 8.0), st.integers(1, 40))
+    def test_evolve_discretized_matches_dense_steps(self, instance, T, steps):
+        path, psi0 = instance
+        rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=1.0), T / steps, psi0,
+                                           adiabatic.check_adiabatic_condition(path))
+        assert rep.steps == steps
+        psi = psi0.amplitudes
+        for k in range(steps):
+            s = (k + 0.5) / steps
+            psi = matrix_exponential(path_hamiltonian(path, s), T / steps).entries @ psi
+            assert abs(rep.per_step_overlaps[k] - abs(np.vdot(dense_ground(path, s), psi)) ** 2) <= 1e-10
+        assert np.max(np.abs(rep.final_state.amplitudes - psi)) <= 1e-10
+        assert abs(rep.success_probability - abs(np.vdot(dense_ground(path, 1.0), psi)) ** 2) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_instances(), st.integers(1, 24))
+    def test_zeno_matches_dense_groundstates(self, instance, R):
+        path, psi0 = instance
+        rep = adiabatic.zeno_evolve(path, R, psi0)
+        grounds = [dense_ground(path, j / R) for j in range(R + 1)]
+        want = [abs(np.vdot(g, h)) ** 2 for g, h in zip(grounds, grounds[1:])]
+        assert np.max(np.abs(rep.per_step_overlaps - want)) <= 1e-10
+        assert abs(rep.success_probability - np.prod(want)) <= 1e-10
+        assert abs(np.vdot(rep.final_state.amplitudes, grounds[-1])) >= 1 - 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(frame_instances())
+    def test_condition_equals_pointwise_reference(self, instance):
+        path = instance[0]
+        assert adiabatic.check_adiabatic_condition(path) == condition_reference(path)
 
 
 class TestAdiabaticCondition:

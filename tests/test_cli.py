@@ -1,8 +1,12 @@
 """Experiment runner: determinism, report format, series files, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from adiagen.qcore import (
     spectral_norm,
     state_overlap,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestSeeding:
@@ -112,9 +118,9 @@ class TestMain:
         assert "formula_exact = pass" in out
 
     def test_failing_invariant_exit_code(self, capsys):
-        # An unreachable fidelity target trips a flag, not a config error.
+        # A fidelity target that a fast schedule misses trips a flag, not a config error.
         rc = cli.main(["adiabatic-run", "--seed", "42", "--circuit", "bell2",
-                       "--T", "0.5", "--delta", "0.1", "--target-fidelity", "1.1"])
+                       "--T", "0.5", "--delta", "0.1", "--target-fidelity", "1.0"])
         assert rc == 1
         assert "failing invariants" in capsys.readouterr().err
 
@@ -186,6 +192,10 @@ REJECTED = {
     "szk-dlp-instances-0": (["szk-dlp", "--instances", "0"], None, None, 2, "instances"),
     "szk-qr-modulus-1": (["szk-qr", "--moduli", "15", "1"], None, None, 2, "moduli"),
     "szk-qr-no-moduli": (["szk-qr"], {"moduli": []}, None, 2, "moduli"),
+    "adiabatic-fidelity-2": (["adiabatic-run", "--target-fidelity", "2.0"], None, None, 2, "target_fidelity"),
+    "compile-fidelity-negative": (["compile-circuit", "--target-fidelity", "-0.5"], None, None, 2,
+                                  "target_fidelity"),
+    "qsample-fidelity-2": (["matchings-qsample", "--target-fidelity", "2"], None, None, 2, "target_fidelity"),
 }
 
 
@@ -320,6 +330,21 @@ def test_adiabatic_run_checks_the_condition_once(monkeypatch):
                         lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
     assert cli.run({"command": "adiabatic-run", "seed": 1}).ok
     assert len(calls) == 1
+
+
+def test_adiabatic_run_reports_where_the_condition_is_tightest():
+    report = cli.run({"command": "adiabatic-run", "seed": 1, "circuit": "ghz3"})
+    grid = np.linspace(1e-5, 1 - 1e-5, adiabatic.CONDITION_GRID).tolist()
+    assert report.scalars["worst_condition_s"] in grid
+
+
+def test_module_entry_point_runs_once_without_warnings():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "adiagen.cli",
+                           "zen-bound", "--trials", "1", "--seed", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.count("# adiagen run report") == 1
 
 
 def parent_trotter_sweep(seed: int, n: int, D: int = 4, lam: float = 1.0, t: float = 1.0,

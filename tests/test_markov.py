@@ -1,5 +1,6 @@
 """Chain-to-Hamiltonian correspondence and the matchings Qsampling pipeline."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +438,14 @@ class TestProjectPerfect:
         post, p = markov.project_perfect(state, space)
         assert np.allclose(post.amplitudes, state.amplitudes)
         assert p == pytest.approx(1.0)
+
+    def test_no_perfect_mass_rejected_by_name(self):
+        space = markov.matchings_space(2)
+        near = next(i for i, m in enumerate(space.states) if not space.is_perfect(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="perfect-matching outcome has probability 0"):
+                markov.project_perfect(StateVector.basis(8, near), space)
 
     def test_post_state_uniform_over_target_perfect(self):
         target = {(0, 1), (1, 0), (1, 1)}
