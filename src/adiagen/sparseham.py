@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .qcore import DenseHermitian, NumericalError, matrix_exponential, spectral_
 
 
 class InconsistentOracleError(ValueError):
-    """Row oracle violates Hermitian symmetry."""
+    """Oracle triples that are not a row-sparse Hermitian operator."""
 
 
 class ColoringError(NumericalError, RuntimeError):
@@ -31,48 +30,73 @@ class StepBudgetError(NumericalError, RuntimeError):
 MAX_TROTTER_STEPS = 1 << 20  # trotter_within's budget
 
 
-@dataclass(frozen=True)
+def _mirrors(i: np.ndarray, j: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """For row-major triples: where entry (j, i) of each entry (i, j) sits, and whether it is there."""
+    key, mirror_key = i * N + j, j * N + i
+    m = np.minimum(np.searchsorted(key, mirror_key), max(key.size - 1, 0))
+    return m, key[m] == mirror_key
+
+
+@dataclass(frozen=True, eq=False)
 class SparseHamiltonian:
-    """Hermitian operator on n qubits: row_fn(i) lists row i's (column, value) entries, in any order."""
+    """Hermitian operator on n qubits given by its entries H[i[e], j[e]] = v[e].
+
+    The triples may come in any order and may include explicit zeros.  They are
+    checked once, here, and stored row-major (each row's columns ascending) with
+    the zeros dropped: int64 `i` and `j`, complex `v`.
+    """
 
     n: int
-    row_fn: Callable[[int], list[tuple[int, complex]]]
+    i: np.ndarray
+    j: np.ndarray
+    v: np.ndarray
     D: int
     lam: float  # spectral norm bound
+
+    def __post_init__(self):
+        N = self.dim
+        i, j, v = np.asarray(self.i), np.asarray(self.j), np.asarray(self.v, dtype=complex)
+        if not (i.dtype.kind in "iu" and j.dtype.kind in "iu" and i.ndim == j.ndim == v.ndim == 1
+                and i.size == j.size == v.size):
+            raise InconsistentOracleError("i and j must be 1-D integer arrays as long as the 1-D v")
+        if np.any((i < 0) | (i >= N) | (j < 0) | (j >= N)):
+            raise InconsistentOracleError(f"row or column index outside [0, {N})")
+        i, j = i.astype(np.int64), j.astype(np.int64)
+        key = i * N + j
+        order = np.argsort(key, kind="stable")
+        if np.any(np.diff(key[order]) == 0):
+            raise InconsistentOracleError("a row lists the same column twice")
+        order = order[v[order] != 0]  # explicit zeros change neither the operator nor its pieces
+        i, j, v = i[order], j[order], v[order]
+        counts = np.bincount(i, minlength=N)
+        if np.any(counts > self.D):
+            r = int(np.argmax(counts > self.D))
+            raise InconsistentOracleError(f"row {r} has {counts[r]} > D={self.D} nonzeros")
+        m, has_mirror = _mirrors(i, j, N)
+        if np.any(np.abs(v - np.conjugate(np.where(has_mirror, v[m], 0))) > 1e-12):
+            raise InconsistentOracleError("oracle rows are not Hermitian-consistent")
+        for name, a in (("i", i), ("j", j), ("v", v)):
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
         return 1 << self.n
 
     def materialize(self) -> DenseHermitian:
-        N = self.dim
-        H = np.zeros((N, N), dtype=complex)
-        for i in range(N):
-            row = self.row_fn(i)
-            if len(row) > self.D:
-                raise InconsistentOracleError(f"row {i} has {len(row)} > D={self.D} nonzeros")
-            for j, v in row:
-                H[i, j] = v
-        if np.max(np.abs(H - H.conj().T)) > 1e-12:
-            raise InconsistentOracleError("oracle rows are not Hermitian-consistent")
+        H = np.zeros((self.dim, self.dim), dtype=complex)
+        H[self.i, self.j] = self.v
         return DenseHermitian(H)
 
 
 def sparse_from_dense(H: DenseHermitian, D: int | None = None, lam: float | None = None) -> SparseHamiltonian:
-    m = H.entries
     N = H.dim
     n = N.bit_length() - 1
     if 1 << n != N:
         raise ValueError("dimension must be a power of two")
-    r, c = np.nonzero(m)  # row-major: each row's columns ascending
-    counts = np.bincount(r, minlength=N)
-    ends = np.cumsum(counts).tolist()
-    entries = list(zip(c.tolist(), m[r, c].tolist()))
-    rows = [entries[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    i, j = np.nonzero(H.entries)
     return SparseHamiltonian(
-        n=n,
-        row_fn=lambda i, _rows=rows: _rows[i],
-        D=D if D is not None else max(int(counts.max()), 1),
+        n=n, i=i, j=j, v=H.entries[i, j],
+        D=D if D is not None else max(int(np.bincount(i, minlength=N).max()), 1),
         lam=lam if lam is not None else spectral_norm(H),
     )
 
@@ -129,36 +153,16 @@ def _separating_moduli(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
     """Exact split of H into 2x2 combinatorially block-diagonal pieces, in O(nnz).
 
-    Each oracle row is read once, and the nonzeros are put in row-major order by
-    one stable sort on the key i*N + j.  Entry e of the flat arrays (i, j, v)
-    finds its mirror (j, i) by binary search on that key.  The pieces equal
-    grouping the upper-triangle entries by their color (k, i mod k, j mod k, row
-    position, column position), in sorted color order.
+    H's triples are row-major, so entry e finds its mirror (j, i) by binary
+    search on the key i*N + j.  The pieces equal grouping the upper-triangle
+    entries by their color (k, i mod k, j mod k, row position, column
+    position), in sorted color order.
     """
-    N, D = H.dim, H.D
-    rows = [H.row_fn(r) for r in range(N)]  # one oracle call per row
-    i = np.repeat(np.arange(N), [len(row) for row in rows])
-    j = np.array([c for row in rows for c, _ in row], dtype=np.int64)
-    v = np.array([x for row in rows for _, x in row], dtype=complex)
-    nonzero = v != 0  # explicit zeros change neither the pieces nor their colors
-    i, j, v = i[nonzero], j[nonzero], v[nonzero]
-    if np.any((j < 0) | (j >= N)):
-        raise InconsistentOracleError(f"column index outside [0, {N})")
+    N, i, j, v = H.dim, H.i, H.j, H.v
     key = i * N + j
-    order = np.argsort(key, kind="stable")  # rows in order, each sorted by column
-    i, j, v, key = i[order], j[order], v[order], key[order]
     counts = np.bincount(i, minlength=N)
-    if np.any(counts > D):
-        r = int(np.argmax(counts > D))
-        raise InconsistentOracleError(f"row {r} has {counts[r]} > D={D} nonzeros")
-    if np.any(key[1:] == key[:-1]):
-        raise InconsistentOracleError("a row lists the same column twice")
     position = np.arange(key.size) - (np.cumsum(counts) - counts)[i] + 1  # 1-based, within the row
-    mirror_key = j * N + i
-    m = np.minimum(np.searchsorted(key, mirror_key), max(key.size - 1, 0))
-    has_mirror = key[m] == mirror_key
-    if np.any(np.abs(v - np.conjugate(np.where(has_mirror, v[m], 0))) > 1e-12):
-        raise InconsistentOracleError("oracle rows are not Hermitian-consistent")
+    m, has_mirror = _mirrors(i, j, N)
 
     upper = j >= i  # upper triangle including diagonal; mirror comes for free
     rindex, cindex = position[upper], np.where(has_mirror, position[m], 0)[upper]

@@ -8,54 +8,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .qcore import StateVector, state_overlap
 
-MAX_INPUT_BITS = 22
 MAX_OUTPUT_BITS = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalCircuit:
-    """Deterministic map {0,1}^n -> {0,1}^m; bitstrings carried as ints."""
+    """Deterministic map {0,1}^n -> {0,1}^m as its truth table: input x gives table[x]; bitstrings are ints."""
 
     n: int
     m: int
-    eval: Callable[[int], int]
+    table: np.ndarray
 
     def __post_init__(self):
         if self.n < 0 or self.m < 1:
             raise ValueError("need n >= 0 and m >= 1")
-
-
-def circuit_from_table(n: int, m: int, table: list[int]) -> ClassicalCircuit:
-    if len(table) != 1 << n:
-        raise ValueError("truth table must have 2^n rows")
-    return ClassicalCircuit(n=n, m=m, eval=lambda x, _t=tuple(table): _t[x])
+        table = np.asarray(self.table)
+        if table.shape != (1 << self.n,):
+            raise ValueError("truth table must have 2^n rows")
+        if table.dtype.kind not in "iu" or np.any((table < 0) | (table >= 1 << self.m)):
+            x, z = next((x, z) for x, z in enumerate(self.table) if isinstance(z, bool)
+                        or not isinstance(z, (int, np.integer)) or not 0 <= z < 1 << self.m)
+            raise ValueError(f"truth table entry {x} is {z}, not an integer in [0, {1 << self.m})")
+        object.__setattr__(self, "table", table.astype(np.int64))
 
 
 @dataclass(frozen=True)
 class OutputDistribution:
     m: int
     counts: np.ndarray  # integer counts over 2^m outputs
-    denominator: int
 
     @property
     def probabilities(self) -> np.ndarray:
-        return self.counts / self.denominator
+        return self.counts / self.counts.sum()
 
 
 def distribution_of(C: ClassicalCircuit) -> OutputDistribution:
     """Exact output histogram over uniformly distributed inputs."""
-    if C.n > MAX_INPUT_BITS:
-        raise ValueError(f"n = {C.n} too large for exhaustive enumeration")
-    counts = np.zeros(1 << C.m, dtype=np.int64)
-    for x in range(1 << C.n):
-        counts[C.eval(x)] += 1
-    return OutputDistribution(m=C.m, counts=counts, denominator=1 << C.n)
+    return OutputDistribution(m=C.m, counts=np.bincount(C.table, minlength=1 << C.m))
 
 
 def qsample_exact(C: ClassicalCircuit) -> StateVector:

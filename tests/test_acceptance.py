@@ -272,11 +272,11 @@ def test_08_matchings_pipeline():
 
 def test_09_sd_decider_thresholds():
     # Far pair at the promise edge: p = (7/8, 1/8) vs its swap, variation 3/4.
-    far0 = szk.circuit_from_table(3, 1, [0] * 7 + [1])
-    far1 = szk.circuit_from_table(3, 1, [1] * 7 + [0])
+    far0 = szk.ClassicalCircuit(3, 1, [0] * 7 + [1])
+    far1 = szk.ClassicalCircuit(3, 1, [1] * 7 + [0])
     # Close pair at the other edge: (1, 0) vs (3/4, 1/4), variation 1/4.
-    close0 = szk.circuit_from_table(2, 1, [0, 0, 0, 0])
-    close1 = szk.circuit_from_table(2, 1, [0, 0, 0, 1])
+    close0 = szk.ClassicalCircuit(2, 1, [0, 0, 0, 0])
+    close1 = szk.ClassicalCircuit(2, 1, [0, 0, 0, 1])
     d_far = szk.variation(szk.distribution_of(far0), szk.distribution_of(far1))
     d_close = szk.variation(szk.distribution_of(close0), szk.distribution_of(close1))
     assert d_far >= 0.75 and d_close <= 0.25
@@ -344,8 +344,8 @@ def test_11_fidelity_variation_fact():
     for _ in range(50):
         t0 = [int(rng.integers(0, 8)) for _ in range(32)]
         t1 = [int(rng.integers(0, 8)) for _ in range(32)]
-        C0 = szk.circuit_from_table(5, 3, t0)
-        C1 = szk.circuit_from_table(5, 3, t1)
+        C0 = szk.ClassicalCircuit(5, 3, t0)
+        C1 = szk.ClassicalCircuit(5, 3, t1)
         ov = state_overlap(szk.qsample_exact(C0), szk.qsample_exact(C1)).real
         F = fidelity(szk.distribution_of(C0), szk.distribution_of(C1))
         worst_overlap_dev = max(worst_overlap_dev, abs(ov - F))

@@ -156,6 +156,12 @@ REJECTED = {
     "gate-file-without-n": (["compile-circuit", "--gate-file", "gates.txt"], None, None, 2, "gate_file"),
     "missing-gate-file": (["compile-circuit", "--gate-file", "missing.txt", "--n", "2"], None, None, 2,
                           "missing.txt"),
+    "gate-file-n-40": (["compile-circuit", "--gate-file", "gates.txt", "--n", "40"], None, None, 2,
+                       "n must be in [1, 12] with a gate_file, got 40"),
+    "zeno-gate-file-n-13": (["zeno-run", "--gate-file", "gates.txt", "--n", "13"], None, None, 2,
+                            "n must be in [1, 12]"),
+    "adiabatic-gate-file-n-negative": (["adiabatic-run", "--gate-file", "gates.txt", "--n", "-1"], None, None, 2,
+                                       "n must be in [1, 12]"),
     "wrong-type": (["gap-formula"], {"trials": "ten"}, None, 2, "trials"),
     "list-config": (["gap-formula"], [1, 2], None, 2, "--config"),
     "zen-bound-dim-1": (["zen-bound"], {"dim": 1}, None, 2, "dim"),
@@ -388,6 +394,23 @@ class TestTrotterSweepFixedWork:
         assert cli.main(["trotter-sweep", "--n", "3", "--D", "2", "--alpha", "1e-6"]) == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "StepBudgetError" in err
+
+
+class TestTrotterSlopeFlag:
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_exact_product_passes(self, n):
+        """At D = 1 the pieces commute, so every error is round-off and the fitted slope is noise."""
+        report = cli.run({"command": "trotter-sweep", "seed": 42, "n": n, "D": 1})
+        assert max(e for _, e in report.series["delta_sweep"][1]) < 1e-13
+        assert cli.main(["trotter-sweep", "--n", str(n), "--D", "1"]) == 0
+
+    def test_slow_decay_above_roundoff_fails(self, monkeypatch):
+        unitary = sparseham.trotter_unitary
+        monkeypatch.setattr(sparseham, "trotter_unitary", lambda pieces, delta, steps, N: (
+            unitary(pieces, delta, steps, N) + 0.1 * math.sqrt(delta) * np.eye(N)))
+        report = cli.run({"command": "trotter-sweep", "seed": 1})
+        assert min(e for _, e in report.series["delta_sweep"][1]) > 1e-3
+        assert report.scalars["loglog_slope"] < 0.9 and not report.flags["slope_at_least_linear"]
 
 
 def test_markov_spectrum_makes_no_eigh_call(monkeypatch):

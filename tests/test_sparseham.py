@@ -1,7 +1,6 @@
 """Coloring decomposition and symmetric product-formula simulation."""
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +53,7 @@ def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
         k = _separating_modulus(i, j, n)
 
     def position(row: int, col: int) -> int:
-        for pos, (c, _v) in enumerate(sorted(H.row_fn(row), key=lambda cv: cv[0]), start=1):
+        for pos, c in enumerate(sorted(H.j[H.i == row].tolist()), start=1):
             if c == col:
                 return pos
         return 0
@@ -66,15 +65,10 @@ def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
 
 
 def row_scan_pieces(H):
-    """The grouping `decompose` replaced: a `color_entry` row scan per upper-triangle entry.
-
-    Colors come from `color_entry` on the oracle with its explicit zeros dropped.
-    """
-    rows = [sorted([(j, v) for j, v in H.row_fn(i) if v != 0], key=lambda cv: cv[0]) for i in range(H.dim)]
-    H = replace(H, row_fn=lambda i: rows[i])
+    """The grouping `decompose` replaced: a `color_entry` row scan per upper-triangle entry."""
     groups = {}
     for i in range(H.dim):
-        for j, v in rows[i]:
+        for j, v in sorted(zip(H.j[H.i == i].tolist(), H.v[H.i == i].tolist())):
             if j >= i:
                 groups.setdefault(color_entry(H, i, j), []).append((i, j, v))
     pieces = []
@@ -86,32 +80,43 @@ def row_scan_pieces(H):
     return pieces
 
 
+def from_rows(n: int, rows, D: int) -> SparseHamiltonian:
+    """The oracle whose row i lists the (column, value) entries rows[i], in that order."""
+    i = np.array([r for r, row in enumerate(rows) for _ in row], dtype=np.int64)
+    j = np.array([c for row in rows for c, _ in row], dtype=np.int64)
+    v = np.array([x for row in rows for _, x in row], dtype=complex)
+    return SparseHamiltonian(n, i, j, v, D=D, lam=1.0)
+
+
 @st.composite
 def oracles(draw):
-    """Row oracles of 1 to 7 qubits, D up to N, rows unsorted and padded with explicit zeros."""
+    """Oracles of 1 to 7 qubits, D up to N, their triples shuffled and padded with explicit zeros."""
     n = draw(st.integers(1, 7))
     N = 1 << n
     m = random_sparse_hermitian(n, draw(st.integers(1, N)), 1.0, draw(st.integers(0, 2**32 - 1))).entries
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zero_rate = draw(st.sampled_from([0.0, 0.05, 0.5]))
-    rows = []
-    for i in range(N):
-        row = [(j, complex(m[i, j])) for j in range(N) if m[i, j] != 0 or rng.random() < zero_rate]
-        rng.shuffle(row)
-        rows.append(row)
-    D = max(1, max(len(row) for row in rows))  # materialize counts the zeros against D
-    return SparseHamiltonian(n, lambda i: rows[i], D=D, lam=1.0)
+    i, j = np.nonzero((m != 0) | (rng.random((N, N)) < zero_rate))
+    order = rng.permutation(i.size)
+    D = max(1, int(np.count_nonzero(m, axis=1).max()))
+    return SparseHamiltonian(n, i[order], j[order], m[i, j][order], D=D, lam=1.0)
 
 
-# name -> (rows of a 2x2 oracle, D, error decompose raises)
+# name -> (rows of a 2x2 oracle, D, error): an InconsistentOracleError is raised when the
+# oracle is built, a ColoringError by decompose.
 BAD_ORACLES = {
     "too-many-nonzeros": ([[(0, 1.0), (1, 1.0)], [(0, 1.0)]], 1, InconsistentOracleError),
     "asymmetric": ([[(1, 1.0)], [(0, 2.0)]], 2, InconsistentOracleError),
     "slightly-asymmetric": ([[(1, 1.0)], [(0, 1.0 + 1e-9)]], 2, InconsistentOracleError),
     "missing-mirror": ([[(1, 1.0)], []], 2, InconsistentOracleError),
     "repeated-column": ([[(1, 1.0), (1, 1.0)], [(0, 1.0)]], 2, InconsistentOracleError),
+    "repeated-diagonal": ([[(0, 1.0), (0, 2.0)], []], 2, InconsistentOracleError),
+    "repeated-explicit-zero": ([[(1, 0.0), (1, 0.0)], []], 2, InconsistentOracleError),
     "column-outside": ([[(2, 1.0)], []], 2, InconsistentOracleError),
-    # Within materialize's 1e-12 symmetry tolerance, but not reconstructed exactly.
+    "column-negative": ([[(-1, 1.0)], []], 2, InconsistentOracleError),
+    "row-outside": ([[], [], [(0, 1.0)]], 2, InconsistentOracleError),
+    "zero-outside": ([[(2, 0.0)], []], 2, InconsistentOracleError),
+    # Within the 1e-12 symmetry tolerance, but not reconstructed exactly.
     "tiny-missing-mirror": ([[(1, 1e-13)], []], 2, ColoringError),
     "tiny-asymmetry": ([[(1, 1.0)], [(0, 1.0 + 1e-13)]], 2, ColoringError),
     "tiny-imaginary-diagonal": ([[(0, 1.0 + 1e-13j)], []], 2, ColoringError),
@@ -200,30 +205,38 @@ class TestDecompose:
                 total[p.j, p.i] += np.conjugate(p.values)
         assert np.array_equal(total, H.materialize().entries)
 
-    def test_one_oracle_call_per_row(self):
-        H = sparse_from_dense(random_sparse_hermitian(5, 4, 1.0, seed=3))
-        calls = []
-        decompose(replace(H, row_fn=lambda i: calls.append(i) or H.row_fn(i)))
-        assert sorted(calls) == list(range(H.dim))
-
     @pytest.mark.parametrize("rows, D, error", BAD_ORACLES.values(), ids=BAD_ORACLES.keys())
     def test_bad_oracle_rejected(self, rows, D, error):
-        with pytest.raises(error):
-            decompose(SparseHamiltonian(1, lambda i: rows[i], D=D, lam=1.0))
+        if error is InconsistentOracleError:
+            with pytest.raises(error):
+                from_rows(1, rows, D)
+        else:
+            H = from_rows(1, rows, D)
+            with pytest.raises(error):
+                decompose(H)
 
     def test_shared_block_index_rejected(self, monkeypatch):
         # With k = 2 for every pair, (0, 2) and (2, 4) get one color and share index 2.
-        rows = {0: [(1, 1.0), (2, 1.0)], 1: [(0, 1.0)], 2: [(0, 1.0), (4, 1.0)], 4: [(2, 1.0)]}
-        H = SparseHamiltonian(3, lambda i: rows.get(i, []), D=2, lam=1.0)
+        rows = [[(1, 1.0), (2, 1.0)], [(0, 1.0)], [(0, 1.0), (4, 1.0)], [], [(2, 1.0)], [], [], []]
+        H = from_rows(3, rows, D=2)
         monkeypatch.setattr(sparseham, "_separating_moduli", lambda i, j, n: np.where(i == j, 1, 2))
         with pytest.raises(ColoringError, match="share indices"):
             decompose(H)
 
     def test_inconsistent_oracle_rejected(self):
-        rows = {0: [(1, 1.0 + 0j)], 1: []}
-        bad = SparseHamiltonian(1, lambda i: rows[i], D=2, lam=1.0)
-        with pytest.raises(InconsistentOracleError):
-            bad.materialize()
+        with pytest.raises(InconsistentOracleError, match="Hermitian"):
+            SparseHamiltonian(1, np.array([0]), np.array([1]), np.array([1.0 + 0j]), D=2, lam=1.0)
+
+    @pytest.mark.parametrize("i, j, v", [([0], [0, 1], [1.0, 1.0]), ([0.0], [0.0], [1.0]),
+                                         ([[0]], [[0]], [[1.0]])])
+    def test_malformed_triples_rejected(self, i, j, v):
+        with pytest.raises(InconsistentOracleError, match="1-D integer arrays"):
+            SparseHamiltonian(1, np.array(i), np.array(j), np.array(v), D=2, lam=1.0)
+
+    def test_explicit_zeros_do_not_count_against_D(self):
+        H = from_rows(1, [[(0, 1.0), (1, 0.0)], [(0, 0.0), (1, 2.0)]], D=1)
+        assert (H.i.tolist(), H.j.tolist(), H.v.tolist()) == ([0, 1], [0, 1], [1.0, 2.0])
+        assert np.array_equal(H.materialize().entries, np.diag([1.0, 2.0]))
 
 
 class TestPieceExponential:
@@ -345,9 +358,8 @@ class TestSimulateSparse:
     def test_explicit_zeros_have_no_effect(self, H, t, seed):
         rng = np.random.default_rng(seed)
         m, N = H.entries, H.dim
-        rows = [[(j, complex(m[i, j])) for j in range(N) if m[i, j] != 0 or rng.random() < 0.5]
-                for i in range(N)]
-        with_zeros = SparseHamiltonian(N.bit_length() - 1, lambda i: rows[i], D=N, lam=1.0)
+        i, j = np.nonzero((m != 0) | (rng.random((N, N)) < 0.5))
+        with_zeros = SparseHamiltonian(N.bit_length() - 1, i, j, m[i, j], D=N, lam=1.0)
         plain = sparse_from_dense(H, D=N, lam=1.0)
         got, want = decompose(with_zeros), decompose(plain)
         assert len(got) == len(want)
@@ -370,6 +382,13 @@ def decompose_check_draws(generator):
     return tuple(draws)
 
 
+def row_loop_triples(m):
+    """(i, j, v) lists of m's nonzeros, row by row, each row's columns ascending."""
+    rows = [(i, np.flatnonzero(m[i])) for i in range(m.shape[0])]
+    return ([i for i, nz in rows for _ in nz], [c for _, nz in rows for c in nz.tolist()],
+            [x for i, nz in rows for x in m[i, nz].tolist()])
+
+
 class TestInstances:
     def test_as_heavy_as_the_greedy_generator(self):
         """Nonzeros per row and the decompose-check pieces, over its 250 seed-1 draws, within 2% of the greedy's."""
@@ -388,19 +407,14 @@ class TestInstances:
 
     @pytest.mark.parametrize("generator", [random_sparse_hermitian, greedy_sparse_hermitian])
     def test_sparse_from_dense_matches_the_row_loop(self, generator):
-        """One np.nonzero split by row counts gives the rows a flatnonzero loop over each row gives."""
+        """One np.nonzero gives the triples a flatnonzero loop over each row gives."""
         for _, H in decompose_check_draws(generator)[:100]:
             sh = sparse_from_dense(H)
-            m = H.entries
-            for i in range(H.dim):
-                nz = np.flatnonzero(m[i])
-                assert sh.row_fn(i) == list(zip(nz.tolist(), m[i, nz].tolist()))
-            assert sh.D == max(np.count_nonzero(m, axis=1).max(), 1)
+            assert row_loop_triples(H.entries) == (sh.i.tolist(), sh.j.tolist(), sh.v.tolist())
+            assert sh.D == max(np.count_nonzero(H.entries, axis=1).max(), 1)
 
     @settings(max_examples=60, deadline=None)
     @given(instances)
     def test_sparse_from_dense_rows(self, H):
         sh = sparse_from_dense(H)
-        for i in range(H.dim):
-            nz = np.flatnonzero(H.entries[i])
-            assert sh.row_fn(i) == list(zip(nz.tolist(), H.entries[i, nz].tolist()))
+        assert row_loop_triples(H.entries) == (sh.i.tolist(), sh.j.tolist(), sh.v.tolist())

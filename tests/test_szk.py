@@ -13,31 +13,42 @@ from dense_references import fidelity
 
 def random_circuit(n, m, rng):
     table = [int(rng.integers(0, 1 << m)) for _ in range(1 << n)]
-    return szk.circuit_from_table(n, m, table)
+    return szk.ClassicalCircuit(n, m, table)
 
 
 class TestDistributionOf:
     def test_identity_one_bit(self):
-        C = szk.circuit_from_table(1, 1, [0, 1])
+        C = szk.ClassicalCircuit(1, 1, [0, 1])
         assert np.allclose(szk.distribution_of(C).probabilities, [0.5, 0.5])
 
     def test_constant_circuit(self):
-        C = szk.circuit_from_table(2, 2, [3, 3, 3, 3])
+        C = szk.ClassicalCircuit(2, 2, [3, 3, 3, 3])
         p = szk.distribution_of(C).probabilities
         assert p[3] == 1.0
 
     def test_squaring_mod_15(self):
         # Oracle: hand enumeration of r^2 mod 15 over r in Z_16.
-        C = szk.ClassicalCircuit(n=4, m=4, eval=lambda r: r * r % 15)
+        C = szk.ClassicalCircuit(n=4, m=4, table=[r * r % 15 for r in range(16)])
         counts = np.zeros(16, dtype=int)
         for r in range(16):
             counts[r * r % 15] += 1
         assert np.array_equal(szk.distribution_of(C).counts, counts)
 
+    @pytest.mark.parametrize("table, entry", [([0, -1], "entry 1 is -1"), ([0, 2], "entry 1 is 2"),
+                                              ([0, 1.5], "entry 1 is 1.5"), ([0, 1.0], "entry 1 is 1.0"),
+                                              (np.array([0, 2]), "entry 1 is 2"), ([True, False], "entry 0 is True")])
+    def test_bad_entries_rejected(self, table, entry):
+        with pytest.raises(ValueError, match=entry):
+            szk.ClassicalCircuit(1, 1, table)
+
+    def test_table_length_checked(self):
+        with pytest.raises(ValueError, match="2\\^n rows"):
+            szk.ClassicalCircuit(2, 1, [0, 1])
+
 
 class TestQsample:
     def test_identity_one_bit(self):
-        C = szk.circuit_from_table(1, 1, [0, 1])
+        C = szk.ClassicalCircuit(1, 1, [0, 1])
         v = szk.qsample_exact(C)
         assert np.allclose(v.amplitudes, [1 / math.sqrt(2)] * 2)
 
@@ -58,14 +69,14 @@ class TestQsample:
 
 class TestFidelityVariation:
     def test_equal_distributions(self):
-        C = szk.circuit_from_table(2, 2, [0, 1, 2, 3])
+        C = szk.ClassicalCircuit(2, 2, [0, 1, 2, 3])
         d = szk.distribution_of(C)
         assert fidelity(d, d) == pytest.approx(1.0)
         assert szk.variation(d, d) == 0.0
 
     def test_disjoint_supports(self):
-        p = szk.distribution_of(szk.circuit_from_table(1, 2, [0, 1]))
-        q = szk.distribution_of(szk.circuit_from_table(1, 2, [2, 3]))
+        p = szk.distribution_of(szk.ClassicalCircuit(1, 2, [0, 1]))
+        q = szk.distribution_of(szk.ClassicalCircuit(1, 2, [2, 3]))
         assert fidelity(p, q) == 0.0
         assert szk.variation(p, q) == 1.0
 
@@ -73,8 +84,8 @@ class TestFidelityVariation:
     @given(st.lists(st.integers(0, 3), min_size=8, max_size=8),
            st.lists(st.integers(0, 3), min_size=8, max_size=8))
     def test_fact_bounds(self, t0, t1):
-        p = szk.distribution_of(szk.circuit_from_table(3, 2, t0))
-        q = szk.distribution_of(szk.circuit_from_table(3, 2, t1))
+        p = szk.distribution_of(szk.ClassicalCircuit(3, 2, t0))
+        q = szk.distribution_of(szk.ClassicalCircuit(3, 2, t1))
         F = fidelity(p, q)
         d = szk.variation(p, q)
         assert 1 - F <= d + 1e-12
@@ -110,20 +121,20 @@ class TestSDDecider:
         assert szk.SD_LOW_THRESHOLD < szk.SD_MIDPOINT < szk.SD_HIGH_THRESHOLD
 
     def test_identical_circuits_close(self):
-        v = szk.qsample_exact(szk.circuit_from_table(3, 2, [x % 4 for x in range(8)]))
+        v = szk.qsample_exact(szk.ClassicalCircuit(3, 2, [x % 4 for x in range(8)]))
         rng = np.random.default_rng(3)
         assert szk.sd_decider(v, v, 0.01, rng) == "no"
 
     def test_disjoint_circuits_far(self):
-        C0 = szk.circuit_from_table(3, 2, [x % 2 for x in range(8)])
-        C1 = szk.circuit_from_table(3, 2, [2 + x % 2 for x in range(8)])
+        C0 = szk.ClassicalCircuit(3, 2, [x % 2 for x in range(8)])
+        C1 = szk.ClassicalCircuit(3, 2, [2 + x % 2 for x in range(8)])
         rng = np.random.default_rng(4)
         assert szk.sd_decider(szk.qsample_exact(C0), szk.qsample_exact(C1), 0.01, rng) == "yes"
 
     def test_engineered_far_pair(self):
         # p = (13/16, 3/16, 0, 0), q = (0, 3/16, 13/16, 0): variation 13/16.
-        C0 = szk.circuit_from_table(4, 2, [0] * 13 + [1] * 3)
-        C1 = szk.circuit_from_table(4, 2, [2] * 13 + [1] * 3)
+        C0 = szk.ClassicalCircuit(4, 2, [0] * 13 + [1] * 3)
+        C1 = szk.ClassicalCircuit(4, 2, [2] * 13 + [1] * 3)
         d = szk.variation(szk.distribution_of(C0), szk.distribution_of(C1))
         assert d == pytest.approx(13 / 16)
         rng = np.random.default_rng(5)
@@ -132,11 +143,11 @@ class TestSDDecider:
         assert wins >= 99
 
     def test_promise_referee(self):
-        C0 = szk.circuit_from_table(3, 1, [0] * 7 + [1])
-        C1 = szk.circuit_from_table(3, 1, [1] * 7 + [0])
+        C0 = szk.ClassicalCircuit(3, 1, [0] * 7 + [1])
+        C1 = szk.ClassicalCircuit(3, 1, [1] * 7 + [0])
         assert szk.variation(szk.distribution_of(C0), szk.distribution_of(C1)) >= 3 / 4
-        mid0 = szk.circuit_from_table(1, 1, [0, 0])
-        mid1 = szk.circuit_from_table(1, 1, [0, 1])
+        mid0 = szk.ClassicalCircuit(1, 1, [0, 0])
+        mid1 = szk.ClassicalCircuit(1, 1, [0, 1])
         assert 1 / 4 < szk.variation(szk.distribution_of(mid0), szk.distribution_of(mid1)) < 3 / 4
 
     def test_shot_budget(self):
