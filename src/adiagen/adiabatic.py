@@ -84,6 +84,11 @@ class HamiltonianPath:
         j = np.minimum(np.floor(x), L - 2)
         return np.maximum(j, 0).astype(int), x - j
 
+    @property
+    def overlaps(self) -> list[float]:
+        """|<a_j|a_{j+1}>| of each segment; a one-state path is one segment from a_0 to itself."""
+        return self._frames.ov_mag
+
     def _ground_coords(self, j: int, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gap and unit top eigenvector of (1-eta)|a><a| + eta|b><b| on segment j, the latter as
         frame coordinates (on a, on e)."""
@@ -150,22 +155,10 @@ class HamiltonianPath:
 
 
 @dataclass(frozen=True)
-class Schedule:
-    T: float
-    eps: float
-
-    def __post_init__(self):
-        if self.T <= 0 or self.eps <= 0:
-            raise ValueError("T and eps must be positive")
-
-
-@dataclass(frozen=True)
 class EvolutionReport:
     final_state: StateVector
     success_probability: float
     per_step_overlaps: np.ndarray
-    steps: int
-    warnings: tuple[str, ...] = ()
 
 
 def projector_hamiltonian(alpha: StateVector) -> DenseHermitian:
@@ -192,13 +185,12 @@ class DisconnectedPathError(NumericalError, ValueError):
 
 def jagged_path(states: Sequence[StateVector]) -> HamiltonianPath:
     """Piecewise-linear path through the projectors I - |alpha_j><alpha_j|."""
-    states = list(states)
     if not states:
         raise ValueError("need at least one state")
-    for a, b in zip(states, states[1:]):
-        if abs(state_overlap(a, b)) < 1e-12:
-            raise DisconnectedPathError("zero overlap between consecutive states")
-    return HamiltonianPath(np.array([a.amplitudes for a in states]))
+    path = HamiltonianPath(np.array([a.amplitudes for a in states]))
+    if min(path.overlaps) < 1e-12:
+        raise DisconnectedPathError("zero overlap between consecutive states")
+    return path
 
 
 @dataclass(frozen=True)
@@ -212,7 +204,7 @@ CONDITION_GRID = 64  # points of the open s-grid; the pinned reference ratios we
 
 
 def check_adiabatic_condition(path: HamiltonianPath) -> ConditionReport:
-    """Worst ||dH/ds|| / gap^2 over an open grid; a schedule meets the condition iff T*eps covers it.
+    """Worst ||dH/ds|| / gap^2 over an open grid; a run of length T meets the condition iff T*eps covers it.
 
     Gaps and derivative norms come from the path's per-segment values, O(1) per
     grid point; each ratio is taken in floats, as the pinned reference ratios were.
@@ -229,27 +221,23 @@ def check_adiabatic_condition(path: HamiltonianPath) -> ConditionReport:
     return ConditionReport(max_ratio=max_ratio, worst_s=worst_s, max_derivative_norm=max(derivs))
 
 
-def evolve_discretized(path: HamiltonianPath, sched: Schedule, delta: float,
-                       psi0: StateVector, cond: ConditionReport) -> EvolutionReport:
-    """Product of e^{-i H(s_k) dt} at the midpoints s_k of a uniform s-grid, dt = T / round(T / delta).
+def evolve_discretized(path: HamiltonianPath, T: float, delta: float, psi0: StateVector) -> EvolutionReport:
+    """Product of e^{-i H(s_k) dt} at the midpoints s_k of a uniform s-grid, dt = T / max(1, round(T / delta)).
 
-    `cond` is `check_adiabatic_condition` of this path: the condition is
-    judged against `sched` here.  success_probability reports
-    the squared overlap of the final state with the final groundstate.
+    success_probability reports the squared overlap of the final state with
+    the final groundstate.
     Each segment's run of steps is a run of 2x2 matvecs in that segment's frame
     (`HamiltonianPath._evolve_segment`), so the evolution costs O(L N + steps):
     the state is an N-vector only between segments.
     """
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     if abs(abs(state_overlap(psi0, path.ground_state(0.0))) - 1.0) > 1e-6:
         raise ValueError("psi0 is not the groundstate of H(0)")
-    warnings: list[str] = []
-    if sched.T * sched.eps < cond.max_ratio:
-        warnings.append(
-            f"adiabatic condition violated: T*eps={sched.T * sched.eps:.4g} "
-            f"< max ratio {cond.max_ratio:.4g}"
-        )
-    steps = max(1, round(sched.T / delta))
-    dt = sched.T / steps
+    steps = max(1, round(T / delta))
+    dt = T / steps
     psi = psi0.amplitudes
     overlaps = np.empty(steps)
     seg, eta = path._locate((np.arange(steps) + 0.5) / steps)
@@ -260,8 +248,6 @@ def evolve_discretized(path: HamiltonianPath, sched: Schedule, delta: float,
         final_state=StateVector.from_amplitudes(psi),
         success_probability=float(fidelity_sq),
         per_step_overlaps=overlaps,
-        steps=steps,
-        warnings=tuple(warnings),
     )
 
 
@@ -365,8 +351,8 @@ def exact_projector_exponential(H: DenseHermitian, t: float) -> UnitaryMatrix:
 # Zeno evolution
 
 
-def zeno_evolve(path: HamiltonianPath, R: int, psi0: StateVector) -> EvolutionReport:
-    """R successive groundstate measurements at s = j/R (exact-projector mode).
+def zeno_evolve(path: HamiltonianPath, R: int) -> EvolutionReport:
+    """R successive groundstate measurements at s = j/R (exact-projector mode), from the groundstate at s = 0.
 
     success_probability is the closed-form product of consecutive squared
     groundstate overlaps and the final state is the conditional (all-success)
@@ -376,8 +362,6 @@ def zeno_evolve(path: HamiltonianPath, R: int, psi0: StateVector) -> EvolutionRe
     """
     if R < 1:
         raise ValueError("R must be >= 1")
-    if abs(abs(state_overlap(psi0, path.ground_state(0.0))) - 1.0) > 1e-6:
-        raise ValueError("psi0 is not the groundstate of H(0)")
     seg, g_a, g_e = path._grounds(np.arange(R + 1) / R)
     step = g_a[:-1].conj() * g_a[1:] + g_e[:-1].conj() * g_e[1:]
     for k in np.flatnonzero(np.diff(seg)).tolist():
@@ -387,7 +371,6 @@ def zeno_evolve(path: HamiltonianPath, R: int, psi0: StateVector) -> EvolutionRe
         final_state=path.ground_state(1.0),
         success_probability=float(np.prod(step_probs)),
         per_step_overlaps=step_probs,
-        steps=R,
     )
 
 

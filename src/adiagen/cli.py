@@ -249,11 +249,10 @@ def _run_zeno_run(cfg: dict, report: RunReport) -> None:
     _require(cfg, "R_sweep", min(cfg["R_sweep"], default=0) >= 1, "a non-empty list of integers >= 1")
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
-    psi0 = path.ground_state(0.0)
     rng = sub_rng(cfg["seed"], "zeno-mc")
     rows = []
     for R in cfg["R_sweep"]:
-        rep = adiabatic.zeno_evolve(path, R, psi0)
+        rep = adiabatic.zeno_evolve(path, R)
         mc = adiabatic.zeno_success_samples(rep.per_step_overlaps, cfg["shots"], rng)
         rows.append((R, 1.0 - rep.success_probability, 1.0 - mc / cfg["shots"]))
     fails = [exact_fail for _, exact_fail, _ in rows]
@@ -262,6 +261,7 @@ def _run_zeno_run(cfg: dict, report: RunReport) -> None:
 
 
 def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
+    _require(cfg, "T", cfg["T"] >= 0, ">= 0 (0 derives T from the adiabatic condition)")
     _require(cfg, "delta", cfg["delta"] > 0, "positive")
     _require(cfg, "eps", cfg["eps"] > 0, "positive")
     _require(cfg, "target_fidelity", 0 <= cfg["target_fidelity"] <= 1, "in [0, 1]")
@@ -270,8 +270,7 @@ def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
     eps = cfg["eps"]
     cond = adiabatic.check_adiabatic_condition(path)
     T = cfg["T"] or max(1.0, cond.max_ratio / eps)
-    rep = adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=eps), cfg["delta"],
-                                       path.ground_state(0.0), cond)
+    rep = adiabatic.evolve_discretized(path, T, cfg["delta"], path.ground_state(0.0))
     report.scalars["T"] = T
     report.scalars["max_condition_ratio"] = cond.max_ratio
     report.scalars["worst_condition_s"] = cond.worst_s
@@ -285,16 +284,14 @@ def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
     _require(cfg, "R", cfg["R"] >= 1, ">= 1")
     _require(cfg, "target_fidelity", 0 <= cfg["target_fidelity"] <= 1, "in [0, 1]")
     gates, x = _load_circuit(cfg)
-    doubled = adiabatic.expand_sqrt(gates)
-    states = adiabatic.circuit_states(doubled, x)
-    overlaps = [abs(state_overlap(a, b)) for a, b in zip(states, states[1:])]
-    path = adiabatic.jagged_path(states)
+    path = adiabatic.compile_circuit(gates, x)
+    overlaps = path.overlaps  # a gateless circuit's one state overlaps itself: exactly 1 on a basis state
     min_gap = float(np.min(path.gap(np.linspace(0, 1, cfg["grid"]))))
-    rep = adiabatic.zeno_evolve(path, cfg["R"], states[0])
+    rep = adiabatic.zeno_evolve(path, cfg["R"])
     target = adiabatic.simulate_circuit(gates, x)
     fid = abs(state_overlap(rep.final_state, target))
     inv_sqrt2 = 1 / math.sqrt(2)
-    report.scalars["min_consecutive_overlap"] = min(overlaps) if overlaps else 1.0
+    report.scalars["min_consecutive_overlap"] = min(overlaps)
     report.scalars["min_sampled_gap"] = min_gap
     report.scalars["zeno_fidelity"] = fid
     report.flags["overlaps_above_inv_sqrt2"] = all(o >= inv_sqrt2 - 1e-12 for o in overlaps)
@@ -349,7 +346,6 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     seed_state, space = markov.matchings_seed_qsample(n)
     _, p_perfect = markov.project_perfect(seed_state, space)
     seq, space_t = markov.anneal_weights_sequence(n, target, cfg["steps"], cfg["ratio"])
-    sv = markov.check_slowly_varying(seq)
     rep = markov.qsample_sequence(seq, seed_state, mode="zeno", R=cfg["R"])
     target_state = markov.pi_state(seq.pis[-1])
     fid = abs(state_overlap(rep.final_state, target_state))
@@ -363,7 +359,6 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     report.scalars["final_fidelity"] = fid
     report.scalars["post_uniform_deviation"] = uniform_dev
     report.scalars["post_off_target_mass"] = off_mass
-    report.flags["slowly_varying"] = sv.ok
     report.flags["qsample_fidelity"] = fid >= cfg["target_fidelity"]
 
 
@@ -519,7 +514,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--config {path}: expected a JSON object, got {type(loaded).__name__}")
             config.update(loaded)
         report = run(config)
-    except NumericalError as exc:
+    except (NumericalError, MemoryError) as exc:  # a size numpy cannot allocate fails like a step budget
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -187,43 +187,30 @@ def variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(p - q)))
 
 
-@dataclass(frozen=True)
-class SlowVariationReport:
-    distances: np.ndarray
-    fidelities: np.ndarray
-    violations: tuple[int, ...]
+def check_slowly_varying(seq: ChainSequence) -> tuple[int, ...]:
+    """The steps t whose variation distance ||pi_t - pi_{t+1}|| exceeds the sequence's threshold.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_slowly_varying(seq: ChainSequence) -> SlowVariationReport:
-    """Per-step variation distance and fidelity (the groundstate overlap <pi_t|pi_{t+1}>)."""
+    Each step's fidelity <pi_t|pi_{t+1}> (the groundstate overlap) is checked
+    against its lower bound 1 - distance.
+    """
     pis = [pi.pi for pi in seq.pis]
-    dists, fids, violations = [], [], []
+    violations = []
     for t in range(len(pis) - 1):
         d = variation_distance(pis[t], pis[t + 1])
         f = float(np.sum(np.sqrt(pis[t] * pis[t + 1])))
-        dists.append(d)
-        fids.append(f)  # <pi_t|pi_{t+1}> = fidelity of the distributions
         if d > seq.variation_threshold:
             violations.append(t)
         if f < 1.0 - d - 1e-9:
             raise AssertionError(f"fidelity bound violated at step {t}: F={f}, dist={d}")
-    return SlowVariationReport(
-        distances=np.array(dists),
-        fidelities=np.array(fids),
-        violations=tuple(violations),
-    )
+    return tuple(violations)
 
 
 def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
                      R: int = 500, eps: float = 0.01, delta: float = 0.1) -> adiabatic.EvolutionReport:
     """Drive |pi_0> to |pi_T> along the jagged path of the chain Hamiltonians."""
-    report = check_slowly_varying(seq)
-    if not report.ok:
-        raise ValueError(f"sequence is not slowly varying at steps {report.violations}")
+    violations = check_slowly_varying(seq)
+    if violations:
+        raise ValueError(f"sequence is not slowly varying at steps {violations}")
     for c, pi in zip(seq.chains, seq.pis):
         _require_reversible(c, pi)
     targets = [pi_state(pi) for pi in seq.pis]  # |sqrt(pi)> is the groundstate of H_c
@@ -232,16 +219,15 @@ def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
     if len(targets) == 1:
         return adiabatic.EvolutionReport(
             final_state=seed, success_probability=1.0,
-            per_step_overlaps=np.ones(1), steps=0)
+            per_step_overlaps=np.ones(1))
     path = adiabatic.jagged_path(targets)
     if mode == "zeno":
-        return adiabatic.zeno_evolve(path, R, targets[0])
+        return adiabatic.zeno_evolve(path, R)
     if mode == "schrodinger":
         if not eps > 0:
             raise ValueError("eps must be positive")
-        cond = adiabatic.check_adiabatic_condition(path)
-        T = max(1.0, cond.max_ratio / eps)
-        return adiabatic.evolve_discretized(path, adiabatic.Schedule(T=T, eps=eps), delta, targets[0], cond)
+        T = max(1.0, adiabatic.check_adiabatic_condition(path).max_ratio / eps)
+        return adiabatic.evolve_discretized(path, T, delta, targets[0])
     raise ValueError(f"unknown mode {mode!r}")
 
 

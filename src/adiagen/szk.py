@@ -25,8 +25,8 @@ class ClassicalCircuit:
     table: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 1:
-            raise ValueError("need n >= 0 and m >= 1")
+        if self.n < 0 or not 1 <= self.m <= MAX_OUTPUT_BITS:
+            raise ValueError(f"need n >= 0 and m in [1, {MAX_OUTPUT_BITS}], got n = {self.n}, m = {self.m}")
         table = np.asarray(self.table)
         if table.shape != (1 << self.n,):
             raise ValueError("truth table must have 2^n rows")
@@ -54,8 +54,6 @@ def distribution_of(C: ClassicalCircuit) -> OutputDistribution:
 
 def qsample_exact(C: ClassicalCircuit) -> StateVector:
     """|C> = sum_z sqrt(D_C(z)) |z>, built directly (an exact CQS stand-in)."""
-    if C.m > MAX_OUTPUT_BITS:
-        raise ValueError(f"m = {C.m} too large for a dense state")
     dist = distribution_of(C)
     return StateVector.from_amplitudes(np.sqrt(dist.probabilities))
 

@@ -75,7 +75,7 @@ class TestRun:
         report = cli.run({"command": "matchings-qsample", "seed": 42,
                           "n": 2, "steps": 10, "R": 200})
         assert report.scalars["seed_perfect_probability"] == pytest.approx(0.2, abs=1e-9)
-        assert report.flags["slowly_varying"]
+        assert report.ok
 
     def test_szk_qr_matches_referee(self):
         report = cli.run({"command": "szk-qr", "seed": 42, "moduli": [15],
@@ -97,7 +97,7 @@ class TestReportFormat:
                           "D": 2, "points": 3})
         paths = cli.emit_series(report, tmp_path)
         assert len(paths) == 1
-        lines = open(paths[0]).read().splitlines()
+        lines = Path(paths[0]).read_text().splitlines()
         assert lines[0] == f"# config_hash: {cli.config_hash(report.config)}"
         assert lines[1].startswith("# columns: delta measured_error")
         assert len(lines) == 2 + 3
@@ -106,7 +106,7 @@ class TestReportFormat:
         report = cli.RunReport(config={"command": "x", "seed": 0})
         report.series["empty"] = (("a", "b"), [])
         paths = cli.emit_series(report, tmp_path)
-        lines = open(paths[0]).read().splitlines()
+        lines = Path(paths[0]).read_text().splitlines()
         assert len(lines) == 2
 
 
@@ -176,6 +176,7 @@ REJECTED = {
     "trotter-n-13": (["trotter-sweep", "--n", "13"], None, None, 2, "n must be in [1, 12]"),
     "zeno-shots-0": (["zeno-run", "--shots", "0"], None, None, 2, "shots"),
     "adiabatic-delta-0": (["adiabatic-run", "--delta", "0"], None, None, 2, "delta"),
+    "adiabatic-T-negative": (["adiabatic-run", "--T", "-1"], None, None, 2, "T must be >= 0"),
     "removed-edge-one-vertex": (["matchings-qsample", "--removed-edge", "0"], None, None, 2, "removed_edge"),
     "removed-edge-outside": (["matchings-qsample", "--removed-edge", "9", "9"], None, None, 2, "removed_edge"),
     "compile-grid-0": (["compile-circuit", "--grid", "0"], None, None, 2, "grid"),
@@ -202,6 +203,12 @@ REJECTED = {
     "compile-fidelity-negative": (["compile-circuit", "--target-fidelity", "-0.5"], None, None, 2,
                                   "target_fidelity"),
     "qsample-fidelity-2": (["matchings-qsample", "--target-fidelity", "2"], None, None, 2, "target_fidelity"),
+    # sizes whose arrays (over 700 TiB) numpy refuses before anything is allocated
+    "oversized-compile-R": (["compile-circuit", "--R", "100000000000000"], None, None, 3, "Unable to allocate"),
+    "oversized-compile-grid": (["compile-circuit", "--grid", "100000000000000"], None, None, 3, "Unable to allocate"),
+    "oversized-zeno-R-sweep": (["zeno-run", "--R-sweep", "100000000000000"], None, None, 3, "Unable to allocate"),
+    "oversized-qsample-R": (["matchings-qsample", "--R", "100000000000000"], None, None, 3, "Unable to allocate"),
+    "oversized-adiabatic-delta": (["adiabatic-run", "--delta", "1e-12"], None, None, 3, "Unable to allocate"),
 }
 
 

@@ -235,22 +235,21 @@ class TestChainsFromArrays:
 
 class TestSlowVariation:
     def test_constant_sequence(self):
-        seq = markov.ChainSequence(chains=(TWO_STATE, TWO_STATE, TWO_STATE))
-        rep = markov.check_slowly_varying(seq)
-        assert np.allclose(rep.distances, 0.0)
-        assert np.allclose(rep.fidelities, 1.0)
-        assert rep.ok
+        seq = markov.ChainSequence(chains=(TWO_STATE, TWO_STATE, TWO_STATE), variation_threshold=0.0)
+        assert markov.check_slowly_varying(seq) == ()
 
-    def test_fidelity_lower_bound(self):
+    def test_fidelity_lower_bound(self, monkeypatch):
         seq, _ = markov.anneal_weights_sequence(2, {(0, 1), (1, 0), (1, 1)}, 10, 0.7)
-        rep = markov.check_slowly_varying(seq)
-        assert np.all(rep.fidelities >= 1 - rep.distances - 1e-9)
+        assert markov.check_slowly_varying(seq) == ()
+        # A distance of 0 hides each step's change, so every fidelity falls below 1 - distance.
+        monkeypatch.setattr(markov, "variation_distance", lambda p, q: 0.0)
+        with pytest.raises(AssertionError, match="fidelity bound violated at step 0"):
+            markov.check_slowly_varying(seq)
 
     def test_threshold_violation_reported(self):
         far = markov.MarkovChain(np.array([[0.5, 0.5], [0.1, 0.9]]))
-        seq = markov.ChainSequence(chains=(TWO_STATE, far), variation_threshold=0.01)
-        rep = markov.check_slowly_varying(seq)
-        assert not rep.ok
+        seq = markov.ChainSequence(chains=(TWO_STATE, far, far, TWO_STATE), variation_threshold=0.01)
+        assert markov.check_slowly_varying(seq) == (0, 2)
 
 
 class TestQsampleSequence:
@@ -406,9 +405,9 @@ class TestAnnealSequence:
     def test_variation_distances_bounded(self):
         target = {(0, 1), (1, 0), (1, 1)}
         seq, _ = markov.anneal_weights_sequence(2, target, 20, 0.7)
-        rep = markov.check_slowly_varying(seq)
-        assert rep.ok
-        assert np.max(rep.distances) <= 0.5
+        assert markov.check_slowly_varying(seq) == ()
+        pis = [pi.pi for pi in seq.pis]
+        assert max(markov.variation_distance(p, q) for p, q in zip(pis, pis[1:])) <= 0.5
 
     def test_final_off_target_mass_decays(self):
         target = {(0, 1), (1, 0), (1, 1)}

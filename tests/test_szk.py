@@ -41,6 +41,12 @@ class TestDistributionOf:
         with pytest.raises(ValueError, match=entry):
             szk.ClassicalCircuit(1, 1, table)
 
+    @pytest.mark.parametrize("m", [0, 13, 40, 64])
+    def test_output_width_checked(self, m):
+        # 2^40 output counts would take 8 TiB, and 2^64 overflows int64
+        with pytest.raises(ValueError, match=r"m in \[1, 12\], got n = 1, m = " + str(m)):
+            szk.ClassicalCircuit(1, m, [0, 1])
+
     def test_table_length_checked(self):
         with pytest.raises(ValueError, match="2\\^n rows"):
             szk.ClassicalCircuit(2, 1, [0, 1])
