@@ -110,8 +110,18 @@ def _require(cfg: dict, key: str, ok: bool, allowed: str) -> None:
         raise ConfigError(f"{key} must be {allowed}, got {cfg[key]!r}")
 
 
+# The budget of a per-trial loop count.  At it, a run takes from 3 s (szk-sd) to
+# 13 min (decompose-check) on 2 cores; 10^14 trials would take years.
+_MAX_TRIALS = 10**6
+
+
+def _require_trials(cfg: dict, key: str) -> None:
+    """Reject a per-trial loop count below 1 or above the budget."""
+    _require(cfg, key, 1 <= cfg[key] <= _MAX_TRIALS, f"in [1, {_MAX_TRIALS}]")
+
+
 def _run_decompose_check(cfg: dict, report: RunReport) -> None:
-    _require(cfg, "instances", cfg["instances"] >= 1, ">= 1")
+    _require_trials(cfg, "instances")
     rng = sub_rng(cfg["seed"], "decompose-instances")
     worst_norm_excess = 0.0
     max_count_ratio = 0.0
@@ -135,6 +145,7 @@ def _run_decompose_check(cfg: dict, report: RunReport) -> None:
 
 _MAX_QUBITS = MAX_DIM.bit_length() - 1
 _ROUNDOFF_FLOOR = 1e-12  # above an exact product's error (commuting pieces, as at D = 1): <= 1.5e-14 at n <= 10
+_MAX_STEP_NORM = 0.25  # largest delta * lam the sweep starts from; the defaults start there
 
 
 def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
@@ -144,11 +155,16 @@ def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
     _require(cfg, "alpha", 0 < cfg["alpha"] < 1, "in (0, 1)")
     _require(cfg, "start_steps", cfg["start_steps"] >= 1, ">= 1")
     _require(cfg, "points", cfg["points"] >= 2, ">= 2 to fit a slope")
+    steps = cfg["start_steps"]
+    while t / (2 * steps) * lam > _MAX_STEP_NORM:  # a coarser step's error saturates near 2 and flattens the fit
+        steps *= 2
+    if steps > sparseham.MAX_TROTTER_STEPS:
+        raise sparseham.StepBudgetError(f"the sweep would start at {steps} steps, over the step budget "
+                                        f"{sparseham.MAX_TROTTER_STEPS}")
     H = random_sparse_hermitian(n, D, lam, subseed(cfg["seed"], "trotter-instance"))
     pieces = sparseham.decompose(sparseham.sparse_from_dense(H, D=None, lam=lam))
     exact = matrix_exponential(H, t).entries
     rows = []
-    steps = cfg["start_steps"]
     for _ in range(cfg["points"]):
         delta = t / (2 * steps)
         U = sparseham.trotter_unitary(pieces, delta, steps, H.dim)
@@ -156,8 +172,7 @@ def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
         steps *= 2
     log_deltas, log_errors = np.log([d for d, _ in rows]), np.log([max(e, 1e-16) for _, e in rows])
     slope = float(np.polyfit(log_deltas, log_errors, 1)[0])
-    U = sparseham.trotter_within(pieces, exact, t, cfg["alpha"], lam)
-    achieved = spectral_norm(U - exact)
+    _, achieved = sparseham.trotter_within(pieces, exact, t, cfg["alpha"], lam)
     report.series["delta_sweep"] = (("delta", "measured_error"), rows)
     report.scalars["loglog_slope"] = slope
     report.scalars["requested_alpha"] = cfg["alpha"]
@@ -172,7 +187,7 @@ _STACK_ENTRIES = 100 * 8 * 8  # entries per stacked matrix operand: 100 trials a
 def _stacks(cfg: dict):
     """Trial counts of the stacks `cfg`'s trials run in: at most 100, fewer above dim 8."""
     trials, dim = cfg["trials"], cfg["dim"]
-    _require(cfg, "trials", trials >= 1, ">= 1")
+    _require_trials(cfg, "trials")
     _require(cfg, "dim", 2 <= dim <= MAX_DIM, f"in [2, {MAX_DIM}]")
     size = max(1, min(100, _STACK_ENTRIES // dim**2))
     return [min(size, trials - start) for start in range(0, trials, size)]
@@ -245,7 +260,7 @@ def _load_circuit(cfg: dict) -> tuple[adiabatic.GateSequence, str]:
 
 
 def _run_zeno_run(cfg: dict, report: RunReport) -> None:
-    _require(cfg, "shots", cfg["shots"] >= 1, ">= 1")
+    _require_trials(cfg, "shots")
     _require(cfg, "R_sweep", min(cfg["R_sweep"], default=0) >= 1, "a non-empty list of integers >= 1")
     gates, x = _load_circuit(cfg)
     path = adiabatic.compile_circuit(gates, x)
@@ -300,7 +315,7 @@ def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
 
 
 def _run_markov_spectrum(cfg: dict, report: RunReport) -> None:
-    _require(cfg, "trials", cfg["trials"] >= 1, ">= 1")
+    _require_trials(cfg, "trials")
     _require(cfg, "max_states", cfg["max_states"] >= 3, ">= 3")
     rng = sub_rng(cfg["seed"], "markov-spectrum")
     worst_spec = worst_ground = 0.0
@@ -369,7 +384,7 @@ _SD_PAIRS = {"far": ([0, 1] * 4, [2, 3] * 4, "yes"), "close": ([0, 1, 2, 3] * 2,
 def _run_szk_sd(cfg: dict, report: RunReport) -> None:
     _require(cfg, "kind", cfg["kind"] in _SD_PAIRS, "far or close")
     _require(cfg, "delta", 0 < cfg["delta"] < 1, "in (0, 1)")
-    _require(cfg, "trials", cfg["trials"] >= 1, ">= 1")
+    _require_trials(cfg, "trials")
     t0, t1, expected = _SD_PAIRS[cfg["kind"]]
     C0, C1 = szk.ClassicalCircuit(3, 3, t0), szk.ClassicalCircuit(3, 3, t1)
     delta, trials = cfg["delta"], cfg["trials"]
@@ -385,7 +400,7 @@ def _run_szk_sd(cfg: dict, report: RunReport) -> None:
 
 def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
     _require(cfg, "p", cfg["p"] >= 8, ">= 8, so that floor(log2 p) >= 3")
-    _require(cfg, "instances", cfg["instances"] >= 1, ">= 1")
+    _require_trials(cfg, "instances")
     p, g = cfg["p"], cfg["g"]
     rng = sub_rng(cfg["seed"], "szk-dlp")
     c = szk.DLP_PROMISE_FRACTION

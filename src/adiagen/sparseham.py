@@ -3,12 +3,15 @@
 A row-sparse Hermitian operator is split into combinatorially block-diagonal
 pieces (each piece a disjoint union of 1x1 and 2x2 blocks), each piece is
 exponentiated exactly, and the pieces are recombined with a symmetric
-forward-backward product to approximate the full evolution.
+forward-backward product to approximate the full evolution.  The product runs
+over layers: runs of consecutive pieces whose blocks are disjoint, each
+applied to the state in place as one map.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -150,7 +153,7 @@ def _separating_moduli(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return k
 
 
-def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
+def decompose(H: SparseHamiltonian) -> Decomposition:
     """Exact split of H into 2x2 combinatorially block-diagonal pieces, in O(nnz).
 
     H's triples are row-major, so entry e finds its mirror (j, i) by binary
@@ -194,50 +197,92 @@ def decompose(H: SparseHamiltonian) -> list[BlockPiece]:
         color = EntryColor(*colors[:, a].tolist())
         values = vu[a:b].real if color.k == 1 else vu[a:b]
         pieces.append(BlockPiece(color=color, i=iu[a:b], j=ju[a:b], values=values))
-    return pieces
+    return Decomposition(pieces)
 
 
-def piece_exponential(piece: BlockPiece, t: float, state: np.ndarray) -> np.ndarray:
-    """Apply e^{-i t piece} to a vector or to the columns of a matrix.
+@dataclass(frozen=True, eq=False)
+class Layer:
+    """A run of consecutive pieces with pairwise disjoint indices, applied as one map.
 
-    A 1x1 block (i, v) contributes phase e^{-itv} on |i>; a 2x2 block (i, j, v)
-    rotates within span{|i>, |j>}; identity elsewhere.
+    Its 1x1 blocks H[d, d] = dv and its 2x2 blocks (i, j, v) are the pieces'
+    blocks concatenated in the pieces' order.
     """
-    out = np.array(state, dtype=complex)
-    i, j = piece.i, piece.j
-    v = piece.values.reshape(piece.values.shape + (1,) * (out.ndim - 1))  # broadcast over a matrix's columns
-    if piece.color.k == 1:
-        out[i] *= np.exp(-1j * t * v)
-        return out
-    a = np.abs(v)
-    c, s = np.cos(a * t), np.sin(a * t)
-    phase = v / a
-    xi, xj = out[i], out[j]  # copies, so xi outlives the write to out[i]
-    out[i] = c * xi - 1j * phase * s * xj
-    out[j] = -1j * np.conjugate(phase) * s * xi + c * xj
-    return out
+
+    d: np.ndarray
+    dv: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    v: np.ndarray
 
 
-def trotter_step(pieces: list[BlockPiece], delta: float, state: np.ndarray) -> np.ndarray:
-    """Symmetric product: forward over all pieces, then backward."""
+def build_layers(pieces: Decomposition) -> tuple[Layer, ...]:
+    """Split `pieces` into maximal runs whose index sets are pairwise disjoint, in order."""
+    runs, used = [], set()
+    for p in pieces:
+        touched = set(p.i.tolist()) | set(p.j.tolist())
+        if not runs or not used.isdisjoint(touched):
+            runs.append([])
+            used = set()
+        runs[-1].append(p)
+        used |= touched
+
+    def joined(arrays, dtype):
+        return np.concatenate([np.zeros(0, dtype)] + arrays)
+
+    layers = []
+    for run in runs:
+        diag = [p for p in run if p.color.k == 1]
+        blocks = [p for p in run if p.color.k != 1]
+        layers.append(Layer(d=joined([p.i for p in diag], np.int64), dv=joined([p.values for p in diag], float),
+                            i=joined([p.i for p in blocks], np.int64), j=joined([p.j for p in blocks], np.int64),
+                            v=joined([p.values for p in blocks], complex)))
+    return tuple(layers)
+
+
+class Decomposition(tuple):
+    """`decompose`'s pieces, in order; their Trotter layers are built on first use and kept."""
+
+    @cached_property
+    def layers(self) -> tuple[Layer, ...]:
+        return build_layers(self)
+
+
+def trotter_step(pieces: Decomposition, delta: float, state: np.ndarray) -> np.ndarray:
+    """Symmetric product, forward over the pieces and then backward, on a vector or on a matrix's columns.
+
+    The state is copied once, then each layer of `pieces` is applied in place,
+    forward and then backward.  A 1x1 block (d, v) multiplies |d> by e^{-i delta v};
+    a 2x2 block (i, j, v) rotates within span{|i>, |j>}; a layer's blocks are
+    disjoint, so applying them at once is applying its pieces one by one.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    out = state
-    for p in pieces:
-        out = piece_exponential(p, delta, out)
-    for p in reversed(pieces):
-        out = piece_exponential(p, delta, out)
+    out = np.array(state, dtype=complex)
+    column = (1,) * (out.ndim - 1)  # broadcast a block's coefficients over a matrix's columns
+    maps = []
+    for layer in pieces.layers:
+        v = layer.v.reshape(layer.v.shape + column)
+        a = np.abs(v)
+        c, s = np.cos(a * delta), np.sin(a * delta)
+        phase = v / a
+        maps.append((layer, np.exp(-1j * delta * layer.dv.reshape(layer.dv.shape + column)),
+                     c, 1j * phase * s, -1j * np.conjugate(phase) * s))
+    for layer, diag, c, b_ij, b_ji in maps + maps[::-1]:
+        out[layer.d] = out[layer.d] * diag  # not *=: numpy rounds an in-place product of length 1 differently
+        xi, xj = out[layer.i], out[layer.j]  # copies, so xi outlives the write to out[i]
+        out[layer.i] = c * xi - b_ij * xj
+        out[layer.j] = b_ji * xi + c * xj
     return out
 
 
-def trotter_unitary(pieces: list[BlockPiece], delta: float, steps: int, N: int) -> np.ndarray:
+def trotter_unitary(pieces: Decomposition, delta: float, steps: int, N: int) -> np.ndarray:
     """Dense matrix of (U_delta)^steps: one Trotter step on the identity columns, raised by repeated squaring."""
     return np.linalg.matrix_power(trotter_step(pieces, delta, np.eye(N, dtype=complex)), steps)
 
 
-def trotter_within(pieces: list[BlockPiece], exact: np.ndarray, t: float, alpha: float,
-                   lam: float) -> np.ndarray:
-    """The first (U_delta)^steps within alpha of `exact` = e^{-itH} in operator norm, t > 0.
+def trotter_within(pieces: Decomposition, exact: np.ndarray, t: float, alpha: float,
+                   lam: float) -> tuple[np.ndarray, float]:
+    """The first (U_delta)^steps within alpha of `exact` = e^{-itH} in operator norm, t > 0, and its error.
 
     The step count is seeded from the second-order error term M * lam^3 * t^2 / steps
     (M pieces, ||H|| <= lam), then doubled (delta halved, keeping t/2delta an
@@ -250,8 +295,9 @@ def trotter_within(pieces: list[BlockPiece], exact: np.ndarray, t: float, alpha:
     while steps <= MAX_TROTTER_STEPS:
         delta = t / (2 * steps)
         U = trotter_unitary(pieces, delta, steps, exact.shape[0])
-        if spectral_norm(U - exact) <= alpha:
-            return U
+        error = spectral_norm(U - exact)
+        if error <= alpha:
+            return U, error
         steps *= 2
     raise StepBudgetError(f"step budget {MAX_TROTTER_STEPS} exhausted before reaching accuracy {alpha}")
 
@@ -265,4 +311,4 @@ def simulate_sparse(H: SparseHamiltonian, t: float, alpha: float) -> np.ndarray:
     if t < 0:  # e^{+i|t|H} is the adjoint of e^{-i|t|H}, and so is its approximation
         return simulate_sparse(H, -t, alpha).conj().T
     pieces = decompose(H)
-    return trotter_within(pieces, matrix_exponential(H.materialize(), t).entries, t, alpha, H.lam)
+    return trotter_within(pieces, matrix_exponential(H.materialize(), t).entries, t, alpha, H.lam)[0]

@@ -5,6 +5,8 @@ its adiabatic condition taken point by point, `padded_chain_hamiltonian`
 embeds a chain Hamiltonian in power-of-two dimension,
 `direct_seed_amplitudes` writes the matchings seed state down directly, and
 `fidelity` is the classical fidelity that Qsample overlaps equal.
+`piece_exponential` and `per_piece_trotter_step` apply a decomposition's
+Trotter product one piece at a time, copying the state for each piece.
 """
 import math
 
@@ -13,6 +15,7 @@ import numpy as np
 from adiagen.adiabatic import CONDITION_GRID, ConditionReport, two_projector_gap_formula
 from adiagen.markov import MarkovChain, MatchingSpace, StationaryDistribution, _next_pow2, chain_hamiltonian
 from adiagen.qcore import DEGENERACY_TOL, DegenerateGroundstateError, DenseHermitian
+from adiagen.sparseham import BlockPiece
 from adiagen.szk import OutputDistribution
 
 PAD_ENERGY = 3.0  # above the [0, 2] spectrum of any chain Hamiltonian
@@ -71,3 +74,34 @@ def fidelity(p: OutputDistribution, q: OutputDistribution) -> float:
     if p.m != q.m:
         raise ValueError("dimension mismatch")
     return float(np.sum(np.sqrt(p.probabilities * q.probabilities)))
+
+
+def piece_exponential(piece: BlockPiece, t: float, state: np.ndarray) -> np.ndarray:
+    """Apply e^{-i t piece} to a vector or to the columns of a matrix.
+
+    A 1x1 block (i, v) contributes phase e^{-itv} on |i>; a 2x2 block (i, j, v)
+    rotates within span{|i>, |j>}; identity elsewhere.
+    """
+    out = np.array(state, dtype=complex)
+    i, j = piece.i, piece.j
+    v = piece.values.reshape(piece.values.shape + (1,) * (out.ndim - 1))  # broadcast over a matrix's columns
+    if piece.color.k == 1:
+        out[i] = out[i] * np.exp(-1j * t * v)  # as trotter_step writes it; *= rounds a length-1 product differently
+        return out
+    a = np.abs(v)
+    c, s = np.cos(a * t), np.sin(a * t)
+    phase = v / a
+    xi, xj = out[i], out[j]  # copies, so xi outlives the write to out[i]
+    out[i] = c * xi - 1j * phase * s * xj
+    out[j] = -1j * np.conjugate(phase) * s * xi + c * xj
+    return out
+
+
+def per_piece_trotter_step(pieces, delta: float, state: np.ndarray) -> np.ndarray:
+    """Symmetric product: forward over all pieces, then backward, one piece at a time."""
+    out = state
+    for p in pieces:
+        out = piece_exponential(p, delta, out)
+    for p in reversed(pieces):
+        out = piece_exponential(p, delta, out)
+    return out

@@ -174,6 +174,8 @@ REJECTED = {
     "trotter-t-0": (["trotter-sweep", "--t", "0"], None, None, 2, "t must be positive"),
     "trotter-t-negative": (["trotter-sweep", "--t", "-1"], None, None, 2, "t must be positive"),
     "trotter-n-13": (["trotter-sweep", "--n", "13"], None, None, 2, "n must be in [1, 12]"),
+    # delta * lam <= 1/4 needs about 2^100 steps, over MAX_TROTTER_STEPS = 2^20
+    "trotter-lam-1e30": (["trotter-sweep", "--lam", "1e30"], None, None, 3, "StepBudgetError: the sweep would start"),
     "zeno-shots-0": (["zeno-run", "--shots", "0"], None, None, 2, "shots"),
     "adiabatic-delta-0": (["adiabatic-run", "--delta", "0"], None, None, 2, "delta"),
     "adiabatic-T-negative": (["adiabatic-run", "--T", "-1"], None, None, 2, "T must be >= 0"),
@@ -224,6 +226,20 @@ def test_rejected_run_exits_with_one_line(argv, config, patch, code, named, tmp_
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and named in err and "Traceback" not in err
+
+
+# command -> its per-trial loop count
+TRIAL_COUNTS = {"decompose-check": "instances", "gap-formula": "trials", "zen-bound": "trials", "zeno-run": "shots",
+                "markov-spectrum": "trials", "szk-sd": "trials", "szk-dlp": "instances"}
+
+
+@pytest.mark.parametrize("command, key", TRIAL_COUNTS.items(), ids=TRIAL_COUNTS.keys())
+def test_trial_count_above_the_budget_rejected(command, key, monkeypatch, capsys):
+    """Checked against a budget of 3, so that a missing check runs 4 trials rather than 10^14."""
+    monkeypatch.setattr(cli, "_MAX_TRIALS", 3)
+    assert cli.main([command, f"--{key}", "4", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be in [1, 3], got 4\n"
+    assert cli.main([command, f"--{key}", "3", "--seed", "1"]) == 0
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
@@ -410,6 +426,14 @@ class TestTrotterSlopeFlag:
         report = cli.run({"command": "trotter-sweep", "seed": 42, "n": n, "D": 1})
         assert max(e for _, e in report.series["delta_sweep"][1]) < 1e-13
         assert cli.main(["trotter-sweep", "--n", str(n), "--D", "1"]) == 0
+
+    @pytest.mark.parametrize("t, lam, first_delta", [(50.0, 1.0, 50 / 256), (1.0, 3.0, 1 / 16), (1.0, 1.0, 1 / 4)])
+    def test_sweep_starts_at_delta_lam_at_most_a_quarter(self, t, lam, first_delta):
+        """The default start_steps = 2 is doubled until delta * lam <= 1/4.  At t = 50 it starts at 128
+        steps; a sweep from 2 steps read 4 of its 6 errors near 2.0, a slope of 0.34, and exited 1."""
+        report = cli.run({"command": "trotter-sweep", "seed": 1, "t": t, "lam": lam})
+        assert report.series["delta_sweep"][1][0][0] == first_delta
+        assert 1.9 <= report.scalars["loglog_slope"] <= 2.1 and report.ok
 
     def test_slow_decay_above_roundoff_fails(self, monkeypatch):
         unitary = sparseham.trotter_unitary

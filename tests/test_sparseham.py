@@ -21,12 +21,12 @@ from adiagen.sparseham import (
     InconsistentOracleError,
     SparseHamiltonian,
     decompose,
-    piece_exponential,
     simulate_sparse,
     sparse_from_dense,
     trotter_step,
     trotter_unitary,
 )
+from dense_references import per_piece_trotter_step, piece_exponential
 from greedy_sparse_hermitian import greedy_sparse_hermitian
 
 
@@ -326,7 +326,81 @@ class TestTrotterStep:
             trotter_step([], 0.0, np.eye(2, dtype=complex))
 
 
+# Random row-sparse instances of 1 to 6 qubits with D up to 6, decomposed.
+decompositions = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1)).map(
+    lambda nds: decompose(sparse_from_dense(random_sparse_hermitian(nds[0], min(nds[1], 1 << nds[0]), 1.0, nds[2]))))
+
+
+def touched(blocks) -> list[int]:
+    """The indices a piece or a layer acts on, with repeats."""
+    if isinstance(blocks, BlockPiece):
+        return blocks.i.tolist() if blocks.color.k == 1 else blocks.i.tolist() + blocks.j.tolist()
+    return blocks.d.tolist() + blocks.i.tolist() + blocks.j.tolist()
+
+
+class TestLayers:
+    @settings(max_examples=60, deadline=None)
+    @given(decompositions)
+    def test_layers_are_maximal_runs_of_the_pieces_in_order(self, pieces):
+        rest = list(pieces)
+        for layer in pieces.layers:
+            run = []
+            while sum(p.i.size for p in run) < layer.d.size + layer.i.size:
+                run.append(rest.pop(0))
+            diag = [p for p in run if p.color.k == 1]
+            blocks = [p for p in run if p.color.k != 1]
+            for got, want in ((layer.d, [p.i for p in diag]), (layer.dv, [p.values for p in diag]),
+                              (layer.i, [p.i for p in blocks]), (layer.j, [p.j for p in blocks]),
+                              (layer.v, [p.values for p in blocks])):
+                assert np.array_equal(got, np.concatenate(want)) if want else got.size == 0
+            if rest:  # the next piece shares an index with this layer, so the run could not go on
+                assert set(touched(rest[0])) & set(touched(layer))
+        assert rest == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(decompositions)
+    def test_indices_within_a_layer_are_disjoint(self, pieces):
+        for layer in pieces.layers:
+            assert len(touched(layer)) == len(set(touched(layer)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(decompositions, st.floats(1e-3, 2.0), st.integers(0, 2**32 - 1))
+    def test_layered_step_is_the_per_piece_product(self, pieces, delta, seed):
+        N = 1 + max(max(touched(p)) for p in pieces)  # the state needs no more rows than the pieces touch
+        rng = np.random.default_rng(seed)
+        for state in (np.eye(N, dtype=complex), rng.normal(size=N) + 1j * rng.normal(size=N)):
+            assert np.array_equal(trotter_step(pieces, delta, state), per_piece_trotter_step(pieces, delta, state))
+
+    def test_the_state_is_not_written(self):
+        pieces = decompose(sparse_from_dense(random_sparse_hermitian(3, 4, 1.0, seed=8)))
+        state = np.eye(8, dtype=complex)
+        trotter_step(pieces, 0.1, state)
+        assert np.array_equal(state, np.eye(8))
+
+    def test_built_once_per_decomposition(self, monkeypatch):
+        builds = []
+        build = sparseham.build_layers
+        monkeypatch.setattr(sparseham, "build_layers", lambda pieces: builds.append(1) or build(pieces))
+        pieces = decompose(sparse_from_dense(random_sparse_hermitian(3, 4, 1.0, seed=8)))
+        assert builds == []
+        for _ in range(3):
+            trotter_unitary(pieces, 0.05, 4, 8)
+        assert builds == [1]
+
+    def test_decompose_check_builds_no_layers(self, monkeypatch):
+        def refuse(pieces):
+            raise AssertionError("decompose-check built layers")
+        monkeypatch.setattr(sparseham, "build_layers", refuse)
+        assert cli.run({"command": "decompose-check", "seed": 1, "instances": 20}).ok
+
+
 class TestSimulateSparse:
+    def test_within_returns_its_measured_error(self):
+        H = random_sparse_hermitian(4, 3, 1.0, seed=2)
+        exact = matrix_exponential(H, 1.0).entries
+        U, error = sparseham.trotter_within(decompose(sparse_from_dense(H)), exact, 1.0, 1e-4, 1.0)
+        assert error == spectral_norm(U - exact) <= 1e-4
+
     def test_time_zero(self):
         H = sparse_from_dense(random_sparse_hermitian(2, 2, 1.0, seed=1))
         assert np.array_equal(simulate_sparse(H, 0.0, 1e-3), np.eye(4))
