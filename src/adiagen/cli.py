@@ -47,6 +47,11 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
 
 
+def _cell(x) -> str:
+    """A report or series value as printed: floats to 12 significant digits."""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
 @dataclass
 class RunReport:
     config: dict
@@ -70,8 +75,7 @@ class RunReport:
             lines.append(f"{k} = {self.config[k]}")
         lines.append("[scalars]")
         for k in sorted(self.scalars):
-            v = self.scalars[k]
-            lines.append(f"{k} = {v:.12g}" if isinstance(v, float) else f"{k} = {v}")
+            lines.append(f"{k} = {_cell(self.scalars[k])}")
         lines.append("[flags]")
         for k in sorted(self.flags):
             lines.append(f"{k} = {'pass' if self.flags[k] else 'FAIL'}")
@@ -79,7 +83,7 @@ class RunReport:
             lines.append(f"[series {name}]")
             lines.append("# columns: " + " ".join(columns))
             for row in rows:
-                lines.append(" ".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row))
+                lines.append(" ".join(map(_cell, row)))
         return "\n".join(lines) + "\n"
 
 
@@ -95,7 +99,7 @@ def emit_series(report: RunReport, directory) -> list[str]:
             f.write(f"# config_hash: {config_hash(report.config)}\n")
             f.write("# columns: " + " ".join(columns) + "\n")
             for row in rows:
-                f.write(" ".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row) + "\n")
+                f.write(" ".join(map(_cell, row)) + "\n")
         written.append(path)
     return written
 
@@ -134,8 +138,7 @@ def _run_decompose_check(cfg: dict, report: RunReport) -> None:
         bound = (D + 1) ** 2 * n**6
         max_count_ratio = max(max_count_ratio, len(pieces) / bound)
         # A piece's norm is its largest |value|; ||H|| = sh.lam: random_sparse_hermitian rescaled H to it
-        values = np.concatenate([np.zeros(0)] + [p.values for p in pieces])
-        worst_norm_excess = max(worst_norm_excess, float(np.max(np.abs(values), initial=0.0)) - sh.lam)
+        worst_norm_excess = max(worst_norm_excess, float(np.max(np.abs(pieces.v), initial=0.0)) - sh.lam)
     report.scalars["instances"] = cfg["instances"]
     report.scalars["max_piece_count_ratio"] = max_count_ratio
     report.scalars["worst_norm_excess"] = worst_norm_excess
@@ -161,6 +164,9 @@ def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
     if steps > sparseham.MAX_TROTTER_STEPS:
         raise sparseham.StepBudgetError(f"the sweep would start at {steps} steps, over the step budget "
                                         f"{sparseham.MAX_TROTTER_STEPS}")
+    most = (sparseham.MAX_TROTTER_STEPS // steps).bit_length()  # steps * 2^(points - 1) within the budget
+    _require(cfg, "points", cfg["points"] <= most,
+             f"<= {most}, so the sweep from {steps} steps ends within the step budget {sparseham.MAX_TROTTER_STEPS}")
     H = random_sparse_hermitian(n, D, lam, subseed(cfg["seed"], "trotter-instance"))
     pieces = sparseham.decompose(sparseham.sparse_from_dense(H, D=None, lam=lam))
     exact = matrix_exponential(H, t).entries

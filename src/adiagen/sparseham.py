@@ -3,9 +3,10 @@
 A row-sparse Hermitian operator is split into combinatorially block-diagonal
 pieces (each piece a disjoint union of 1x1 and 2x2 blocks), each piece is
 exponentiated exactly, and the pieces are recombined with a symmetric
-forward-backward product to approximate the full evolution.  The product runs
-over layers: runs of consecutive pieces whose blocks are disjoint, each
-applied to the state in place as one map.
+forward-backward product to approximate the full evolution.  A decomposition
+is H's upper-triangle entries sorted by color and cut into pieces; the product
+runs over layers, entry ranges of consecutive pieces whose blocks are disjoint,
+each applied to the state in place as one map.
 """
 from __future__ import annotations
 
@@ -104,38 +105,27 @@ def sparse_from_dense(H: DenseHermitian, D: int | None = None, lam: float | None
     )
 
 
-@dataclass(frozen=True)
-class EntryColor:
-    """Color 5-tuple: separating modulus, residues, and row/column positions."""
-
-    k: int
-    i_mod_k: int
-    j_mod_k: int
-    rindex: int  # 1-based position among row nonzeros; 0 for a zero entry
-    cindex: int
-
-
 @dataclass(frozen=True, eq=False)
-class BlockPiece:
-    """Disjoint blocks of one color, one block per position of the index arrays.
+class Decomposition:
+    """H's upper-triangle entries H[i[e], j[e]] = v[e] in sorted color order, cut into pieces.
 
-    With color.k == 1 the blocks are 1x1, H[i, i] = values with i == j;
-    otherwise each is the 2x2 block [[0, v], [v*, 0]] on rows/columns {i, j}, i < j.
+    Piece p is the entries cuts[p]:cuts[p + 1], a disjoint union of blocks.  The first `diagonal`
+    entries (color k = 1) are 1x1 blocks H[i, i] = v; every later entry is the 2x2 block
+    [[0, v], [v*, 0]] on rows/columns {i, j}, i < j.  The Trotter layers are built on first use and kept.
     """
 
-    color: EntryColor
     i: np.ndarray
     j: np.ndarray
-    values: np.ndarray
+    v: np.ndarray
+    cuts: np.ndarray
+    diagonal: int
 
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.values), initial=0.0))
+    def __len__(self) -> int:
+        return self.cuts.size - 1
 
-    def materialize(self, N: int) -> DenseHermitian:
-        m = np.zeros((N, N), dtype=complex)
-        m[self.j, self.i] = np.conjugate(self.values)
-        m[self.i, self.j] = self.values
-        return DenseHermitian(m)
+    @cached_property
+    def layers(self) -> np.ndarray:
+        return build_layers(self)
 
 
 def _separating_moduli(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -183,7 +173,7 @@ def decompose(H: SparseHamiltonian) -> Decomposition:
     touched = np.sort(np.concatenate((group * N + iu, (group * N + ju)[off])))
     shared = touched[1:][touched[1:] == touched[:-1]]
     if shared.size:
-        color = EntryColor(*colors[:, bounds[shared.min() // N]].tolist())
+        color = tuple(colors[:, bounds[shared.min() // N]].tolist())
         raise ColoringError(f"blocks of color {color} share indices")
     # The pieces' triples and their 2x2 mirrors must be exactly the oracle's.
     rec_key = np.concatenate((iu * N + ju, (ju * N + iu)[off]))
@@ -191,87 +181,56 @@ def decompose(H: SparseHamiltonian) -> Decomposition:
     by_key = np.argsort(rec_key)
     if not (np.array_equal(rec_key[by_key], key) and np.array_equal(rec_v[by_key], v)):
         raise ColoringError("piece sum does not reconstruct H exactly")
-
-    pieces = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        color = EntryColor(*colors[:, a].tolist())
-        values = vu[a:b].real if color.k == 1 else vu[a:b]
-        pieces.append(BlockPiece(color=color, i=iu[a:b], j=ju[a:b], values=values))
-    return Decomposition(pieces)
+    return Decomposition(i=iu, j=ju, v=vu, cuts=bounds, diagonal=int(np.count_nonzero(~off)))
 
 
-@dataclass(frozen=True, eq=False)
-class Layer:
-    """A run of consecutive pieces with pairwise disjoint indices, applied as one map.
+def build_layers(pieces: Decomposition) -> np.ndarray:
+    """Entry offsets of the maximal runs of consecutive pieces whose indices are pairwise disjoint.
 
-    Its 1x1 blocks H[d, d] = dv and its 2x2 blocks (i, j, v) are the pieces'
-    blocks concatenated in the pieces' order.
+    Pieces are contiguous in entry order, so each run is an entry range.  The diagonal entries sort
+    first and sit on distinct indices, so they all lie at the start of the first run.
     """
-
-    d: np.ndarray
-    dv: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    v: np.ndarray
-
-
-def build_layers(pieces: Decomposition) -> tuple[Layer, ...]:
-    """Split `pieces` into maximal runs whose index sets are pairwise disjoint, in order."""
-    runs, used = [], set()
-    for p in pieces:
-        touched = set(p.i.tolist()) | set(p.j.tolist())
-        if not runs or not used.isdisjoint(touched):
-            runs.append([])
-            used = set()
-        runs[-1].append(p)
-        used |= touched
-
-    def joined(arrays, dtype):
-        return np.concatenate([np.zeros(0, dtype)] + arrays)
-
-    layers = []
-    for run in runs:
-        diag = [p for p in run if p.color.k == 1]
-        blocks = [p for p in run if p.color.k != 1]
-        layers.append(Layer(d=joined([p.i for p in diag], np.int64), dv=joined([p.values for p in diag], float),
-                            i=joined([p.i for p in blocks], np.int64), j=joined([p.j for p in blocks], np.int64),
-                            v=joined([p.values for p in blocks], complex)))
-    return tuple(layers)
-
-
-class Decomposition(tuple):
-    """`decompose`'s pieces, in order; their Trotter layers are built on first use and kept."""
-
-    @cached_property
-    def layers(self) -> tuple[Layer, ...]:
-        return build_layers(self)
+    P, d = len(pieces), pieces.diagonal
+    group = np.repeat(np.arange(P), np.diff(pieces.cuts))
+    index, piece = np.concatenate((pieces.i, pieces.j[d:])), np.concatenate((group, group[d:]))
+    order = np.lexsort((piece, index))
+    index, piece = index[order], piece[order]
+    same = index[1:] == index[:-1]
+    last = np.full(P, -1)  # per piece, the last earlier piece on one of its indices
+    np.maximum.at(last, piece[1:][same], piece[:-1][same])
+    starts = []
+    for p, q in enumerate(last.tolist()):
+        if not starts or q >= starts[-1]:  # p shares an index with the run that starts at starts[-1]
+            starts.append(p)
+    return pieces.cuts[starts + [P]]
 
 
 def trotter_step(pieces: Decomposition, delta: float, state: np.ndarray) -> np.ndarray:
     """Symmetric product, forward over the pieces and then backward, on a vector or on a matrix's columns.
 
-    The state is copied once, then each layer of `pieces` is applied in place,
-    forward and then backward.  A 1x1 block (d, v) multiplies |d> by e^{-i delta v};
-    a 2x2 block (i, j, v) rotates within span{|i>, |j>}; a layer's blocks are
-    disjoint, so applying them at once is applying its pieces one by one.
+    The state is copied once.  A 1x1 block (d, v) multiplies |d> by e^{-i delta v}; a 2x2 block (i, j, v)
+    rotates within span{|i>, |j>}.  A layer's blocks are disjoint, so each layer is applied in place at
+    once, and the 1x1 blocks, which open the first layer, first and last.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     out = np.array(state, dtype=complex)
     column = (1,) * (out.ndim - 1)  # broadcast a block's coefficients over a matrix's columns
-    maps = []
-    for layer in pieces.layers:
-        v = layer.v.reshape(layer.v.shape + column)
-        a = np.abs(v)
-        c, s = np.cos(a * delta), np.sin(a * delta)
-        phase = v / a
-        maps.append((layer, np.exp(-1j * delta * layer.dv.reshape(layer.dv.shape + column)),
-                     c, 1j * phase * s, -1j * np.conjugate(phase) * s))
-    for layer, diag, c, b_ij, b_ji in maps + maps[::-1]:
-        out[layer.d] = out[layer.d] * diag  # not *=: numpy rounds an in-place product of length 1 differently
-        xi, xj = out[layer.i], out[layer.j]  # copies, so xi outlives the write to out[i]
-        out[layer.i] = c * xi - b_ij * xj
-        out[layer.j] = b_ji * xi + c * xj
+    d = pieces.diagonal
+    dd, diag = pieces.i[:d], np.exp(-1j * delta * pieces.v[:d].real.reshape((d,) + column))
+    i, j, v = pieces.i[d:], pieces.j[d:], pieces.v[d:].reshape((pieces.v.size - d,) + column)
+    a = np.abs(v)
+    c, s = np.cos(a * delta), np.sin(a * delta)
+    phase = v / a
+    b_ij, b_ji = 1j * phase * s, -1j * np.conjugate(phase) * s
+    bounds = np.maximum(pieces.layers - d, 0).tolist()  # the layers' ranges among the 2x2 blocks
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    out[dd] = out[dd] * diag  # not *=: numpy rounds an in-place product of length 1 differently
+    for span in spans + spans[::-1]:
+        xi, xj = out[i[span]], out[j[span]]  # copies, so xi outlives the write to out[i]
+        out[i[span]] = c[span] * xi - b_ij[span] * xj
+        out[j[span]] = b_ji[span] * xi + c[span] * xj
+    out[dd] = out[dd] * diag
     return out
 
 
@@ -291,7 +250,13 @@ def trotter_within(pieces: Decomposition, exact: np.ndarray, t: float, alpha: fl
     """
     M = max(len(pieces), 1)
     lam = max(lam, 1e-12)
-    steps = max(1, math.ceil(math.sqrt(M * lam**3 * t**2 / alpha)))
+    # In logs first, where lam^3 cannot overflow; within e times the budget the float form is kept where it computes
+    log_seed = (math.log(M) + 3 * math.log(lam) + 2 * math.log(t) - math.log(alpha)) / 2
+    over = log_seed > math.log(MAX_TROTTER_STEPS) + 1
+    try:
+        steps = MAX_TROTTER_STEPS + 1 if over else max(1, math.ceil(math.sqrt(M * lam**3 * t**2 / alpha)))
+    except OverflowError:  # lam^3 alone past the float range, the seed within e times the budget
+        steps = max(1, math.ceil(math.exp(log_seed)))
     while steps <= MAX_TROTTER_STEPS:
         delta = t / (2 * steps)
         U = trotter_unitary(pieces, delta, steps, exact.shape[0])

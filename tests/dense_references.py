@@ -5,17 +5,20 @@ its adiabatic condition taken point by point, `padded_chain_hamiltonian`
 embeds a chain Hamiltonian in power-of-two dimension,
 `direct_seed_amplitudes` writes the matchings seed state down directly, and
 `fidelity` is the classical fidelity that Qsample overlaps equal.
-`piece_exponential` and `per_piece_trotter_step` apply a decomposition's
-Trotter product one piece at a time, copying the state for each piece.
+`pieces_of` cuts a decomposition into its pieces, `piece_matrix` is a
+piece's dense matrix, and `piece_exponential` and `per_piece_trotter_step`
+apply a decomposition's Trotter product one piece at a time, copying the state
+for each piece.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from adiagen.adiabatic import CONDITION_GRID, ConditionReport, two_projector_gap_formula
 from adiagen.markov import MarkovChain, MatchingSpace, StationaryDistribution, _next_pow2, chain_hamiltonian
 from adiagen.qcore import DEGENERACY_TOL, DegenerateGroundstateError, DenseHermitian
-from adiagen.sparseham import BlockPiece
+from adiagen.sparseham import Decomposition
 from adiagen.szk import OutputDistribution
 
 PAD_ENERGY = 3.0  # above the [0, 2] spectrum of any chain Hamiltonian
@@ -76,7 +79,35 @@ def fidelity(p: OutputDistribution, q: OutputDistribution) -> float:
     return float(np.sum(np.sqrt(p.probabilities * q.probabilities)))
 
 
-def piece_exponential(piece: BlockPiece, t: float, state: np.ndarray) -> np.ndarray:
+class Piece(NamedTuple):
+    """Disjoint blocks, one per position of the index arrays: 1x1 blocks H[i, i] = v
+    (real v) if `diagonal`, else 2x2 blocks [[0, v], [v*, 0]] on rows/columns {i, j}."""
+
+    diagonal: bool
+    i: np.ndarray
+    j: np.ndarray
+    v: np.ndarray
+
+    def norm(self) -> float:
+        return float(np.max(np.abs(self.v), initial=0.0))
+
+
+def pieces_of(dec: Decomposition) -> list[Piece]:
+    """The pieces of `dec`, in order: its entry arrays sliced at `cuts`."""
+    cuts = dec.cuts.tolist()
+    return [Piece(a < dec.diagonal, dec.i[a:b], dec.j[a:b], dec.v[a:b].real if a < dec.diagonal else dec.v[a:b])
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def piece_matrix(piece: Piece, N: int) -> DenseHermitian:
+    """The N x N matrix of `piece`: its blocks, zero elsewhere."""
+    m = np.zeros((N, N), dtype=complex)
+    m[piece.j, piece.i] = np.conjugate(piece.v)
+    m[piece.i, piece.j] = piece.v
+    return DenseHermitian(m)
+
+
+def piece_exponential(piece: Piece, t: float, state: np.ndarray) -> np.ndarray:
     """Apply e^{-i t piece} to a vector or to the columns of a matrix.
 
     A 1x1 block (i, v) contributes phase e^{-itv} on |i>; a 2x2 block (i, j, v)
@@ -84,8 +115,8 @@ def piece_exponential(piece: BlockPiece, t: float, state: np.ndarray) -> np.ndar
     """
     out = np.array(state, dtype=complex)
     i, j = piece.i, piece.j
-    v = piece.values.reshape(piece.values.shape + (1,) * (out.ndim - 1))  # broadcast over a matrix's columns
-    if piece.color.k == 1:
+    v = piece.v.reshape(piece.v.shape + (1,) * (out.ndim - 1))  # broadcast over a matrix's columns
+    if piece.diagonal:
         out[i] = out[i] * np.exp(-1j * t * v)  # as trotter_step writes it; *= rounds a length-1 product differently
         return out
     a = np.abs(v)
@@ -97,8 +128,9 @@ def piece_exponential(piece: BlockPiece, t: float, state: np.ndarray) -> np.ndar
     return out
 
 
-def per_piece_trotter_step(pieces, delta: float, state: np.ndarray) -> np.ndarray:
+def per_piece_trotter_step(dec: Decomposition, delta: float, state: np.ndarray) -> np.ndarray:
     """Symmetric product: forward over all pieces, then backward, one piece at a time."""
+    pieces = pieces_of(dec)
     out = state
     for p in pieces:
         out = piece_exponential(p, delta, out)

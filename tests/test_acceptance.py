@@ -19,7 +19,7 @@ from adiagen.qcore import (
     spectral_norm,
     state_overlap,
 )
-from dense_references import fidelity, path_hamiltonian
+from dense_references import fidelity, path_hamiltonian, piece_matrix, pieces_of
 from greedy_sparse_hermitian import greedy_sparse_hermitian
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -46,12 +46,12 @@ def _decomposition_bounds(generator):
         # decompose() itself raises unless the piece sum reconstructs H
         # entrywise exactly and every piece is block-disjoint; re-check the
         # reconstruction here so this test does not rely on that side effect.
-        total = sum((p.materialize(H.dim).entries for p in pieces),
+        total = sum((piece_matrix(p, H.dim).entries for p in pieces_of(pieces)),
                     np.zeros((H.dim, H.dim), dtype=complex))
         assert np.array_equal(total, H.entries)
         max_ratio = max(max_ratio, len(pieces) / ((D + 1) ** 2 * n**6))
         norm_h = spectral_norm(H)
-        for p in pieces:
+        for p in pieces_of(pieces):
             worst_excess = max(worst_excess, p.norm() - norm_h)
     return max_ratio, worst_excess
 

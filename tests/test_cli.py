@@ -171,11 +171,16 @@ REJECTED = {
     "trotter-start-steps-0": (["trotter-sweep", "--start-steps", "0"], None, None, 2, "start_steps"),
     "trotter-points-0": (["trotter-sweep", "--points", "0"], None, None, 2, "points"),
     "trotter-points-1": (["trotter-sweep", "--points", "1"], None, None, 2, "points"),
+    "trotter-points-past-the-budget": (["trotter-sweep", "--n", "1", "--D", "1", "--points", "1100"], None, None, 2,
+                                       "points"),
     "trotter-t-0": (["trotter-sweep", "--t", "0"], None, None, 2, "t must be positive"),
     "trotter-t-negative": (["trotter-sweep", "--t", "-1"], None, None, 2, "t must be positive"),
     "trotter-n-13": (["trotter-sweep", "--n", "13"], None, None, 2, "n must be in [1, 12]"),
     # delta * lam <= 1/4 needs about 2^100 steps, over MAX_TROTTER_STEPS = 2^20
     "trotter-lam-1e30": (["trotter-sweep", "--lam", "1e30"], None, None, 3, "StepBudgetError: the sweep would start"),
+    # trotter_within's seed step count, past 2^20 by far, from a lam^3 past the float range
+    "trotter-seed-past-the-budget": (["trotter-sweep", "--n", "2", "--lam", "1e110", "--t", "1e-106"], None, None, 3,
+                                     "StepBudgetError: step budget"),
     "zeno-shots-0": (["zeno-run", "--shots", "0"], None, None, 2, "shots"),
     "adiabatic-delta-0": (["adiabatic-run", "--delta", "0"], None, None, 2, "delta"),
     "adiabatic-T-negative": (["adiabatic-run", "--T", "-1"], None, None, 2, "T must be >= 0"),
@@ -341,10 +346,13 @@ def test_decompose_check_norm_is_the_rescaled_lam(monkeypatch):
 def test_decompose_check_flags_a_piece_above_the_norm(monkeypatch):
     decompose = sparseham.decompose
 
-    def inflated(sh):  # one piece of 2x2 blocks, its complex values scaled to norm 1 + 1e-6 > ||H|| = lam = 1
-        *rest, last = decompose(sh)
-        assert last.color.k > 1
-        return [*rest, replace(last, values=last.values / np.max(np.abs(last.values)) * (1 + 1e-6))]
+    def inflated(sh):  # the last piece, of 2x2 blocks, its complex values scaled to norm 1 + 1e-6 > ||H|| = lam = 1
+        pieces = decompose(sh)
+        last = slice(pieces.cuts[-2], None)
+        assert last.start >= pieces.diagonal
+        v = pieces.v.copy()
+        v[last] = v[last] / np.max(np.abs(v[last])) * (1 + 1e-6)
+        return replace(pieces, v=v)
 
     monkeypatch.setattr(sparseham, "decompose", inflated)
     report = cli.run({"command": "decompose-check", "seed": 1, "instances": 3})
@@ -414,7 +422,8 @@ class TestTrotterSweepFixedWork:
         sh = sparseham.sparse_from_dense(random_sparse_hermitian(3, 2, 1.0, seed=1))
         with pytest.raises(sparseham.StepBudgetError):
             sparseham.simulate_sparse(sh, 1.0, 1e-6)
-        assert cli.main(["trotter-sweep", "--n", "3", "--D", "2", "--alpha", "1e-6"]) == 3
+        # 2 points keep the sweep itself (2 and 4 steps) within the budget of 4
+        assert cli.main(["trotter-sweep", "--n", "3", "--D", "2", "--alpha", "1e-6", "--points", "2"]) == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "StepBudgetError" in err
 

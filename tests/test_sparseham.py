@@ -1,6 +1,7 @@
 """Coloring decomposition and symmetric product-formula simulation."""
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,9 +16,7 @@ from adiagen.qcore import (
     spectral_norm,
 )
 from adiagen.sparseham import (
-    BlockPiece,
     ColoringError,
-    EntryColor,
     InconsistentOracleError,
     SparseHamiltonian,
     decompose,
@@ -26,7 +25,7 @@ from adiagen.sparseham import (
     trotter_step,
     trotter_unitary,
 )
-from dense_references import per_piece_trotter_step, piece_exponential
+from dense_references import Piece, per_piece_trotter_step, piece_exponential, piece_matrix, pieces_of
 from greedy_sparse_hermitian import greedy_sparse_hermitian
 
 
@@ -42,7 +41,17 @@ def _separating_modulus(i: int, j: int, n: int) -> int:
     raise ColoringError(f"no separating modulus in [2..{max(2, n * n)}] for ({i}, {j})")
 
 
-def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
+class Color(NamedTuple):
+    """Color 5-tuple: separating modulus, residues, and row/column positions."""
+
+    k: int
+    i_mod_k: int
+    j_mod_k: int
+    rindex: int  # 1-based position among row nonzeros; 0 for a zero entry
+    cindex: int
+
+
+def color_entry(H: SparseHamiltonian, i: int, j: int) -> Color:
     """Color of entry (i, j) by scanning rows i and j of the oracle; colors of mirror entries coincide."""
     if i > j:
         i, j = j, i
@@ -61,23 +70,29 @@ def color_entry(H: SparseHamiltonian, i: int, j: int) -> EntryColor:
     rindex = position(i, j)
     # Column j of H mirrors row j by Hermiticity.
     cindex = position(j, i)
-    return EntryColor(k=k, i_mod_k=i % k, j_mod_k=j % k, rindex=rindex, cindex=cindex)
+    return Color(k=k, i_mod_k=i % k, j_mod_k=j % k, rindex=rindex, cindex=cindex)
 
 
-def row_scan_pieces(H):
-    """The grouping `decompose` replaced: a `color_entry` row scan per upper-triangle entry."""
+def row_scan_decomposition(H) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The grouping `decompose` replaced, as (cuts, i, j, v, diagonal): a `color_entry` row scan
+    per upper-triangle entry, the entries sorted by color, row-major within a color."""
     groups = {}
     for i in range(H.dim):
         for j, v in sorted(zip(H.j[H.i == i].tolist(), H.v[H.i == i].tolist())):
             if j >= i:
                 groups.setdefault(color_entry(H, i, j), []).append((i, j, v))
-    pieces = []
-    for color, entries in sorted(groups.items(), key=lambda kv: (
-            kv[0].k, kv[0].i_mod_k, kv[0].j_mod_k, kv[0].rindex, kv[0].cindex)):
-        i, j, v = zip(*entries)
-        values = np.real(v) if color.k == 1 else np.array(v, dtype=complex)
-        pieces.append(BlockPiece(color=color, i=np.array(i), j=np.array(j), values=values))
-    return pieces
+    by_color = sorted(groups.items())
+    entries = [e for _, es in by_color for e in es]
+    cuts = np.cumsum([0] + [len(es) for _, es in by_color])
+    return (cuts, np.array([e[0] for e in entries], dtype=np.int64), np.array([e[1] for e in entries], dtype=np.int64),
+            np.array([e[2] for e in entries], dtype=complex), sum(len(es) for c, es in by_color if c.k == 1))
+
+
+def assert_decomposition(dec, want) -> None:
+    """`dec` is (cuts, i, j, v, diagonal) = `want`, dtypes included."""
+    for a, b in zip((dec.cuts, dec.i, dec.j, dec.v), want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert dec.diagonal == want[4]
 
 
 def from_rows(n: int, rows, D: int) -> SparseHamiltonian:
@@ -160,27 +175,27 @@ class TestDecompose:
     def test_diagonal_pieces_only(self):
         H = sparse_from_dense(DenseHermitian(np.diag([1.0, 2.0, 3.0, 4.0])))
         pieces = decompose(H)
-        for p in pieces:
-            assert p.color.k == 1
+        assert pieces.diagonal == 4
+        for p in pieces_of(pieces):
+            assert p.diagonal
             assert np.array_equal(p.i, p.j)
 
     def test_exact_reconstruction_4x4(self):
         H = explicit_4x4()
         pieces = decompose(H)
-        total = sum((p.materialize(4).entries for p in pieces), np.zeros((4, 4), dtype=complex))
+        total = sum((piece_matrix(p, 4).entries for p in pieces_of(pieces)), np.zeros((4, 4), dtype=complex))
         assert np.array_equal(total, H.materialize().entries)
 
     def test_block_disjointness(self):
         H = sparse_from_dense(random_sparse_hermitian(3, 4, 1.0, seed=5))
-        for p in decompose(H):
-            touched = p.i.tolist() if p.color.k == 1 else p.i.tolist() + p.j.tolist()
-            assert len(touched) == len(set(touched))
+        for p in pieces_of(decompose(H)):
+            assert len(touched(p)) == len(set(touched(p)))
 
     def test_norm_domination(self):
         H = random_sparse_hermitian(4, 4, 1.0, seed=6)
         sh = sparse_from_dense(H)
         norm = spectral_norm(H)
-        for p in decompose(sh):
+        for p in pieces_of(decompose(sh)):
             assert p.norm() <= norm + 1e-12
 
     def test_piece_count_bound(self):
@@ -192,17 +207,13 @@ class TestDecompose:
     @settings(max_examples=60, deadline=None)
     @given(oracles())
     def test_matches_row_scan_grouping(self, H):
-        got, want = decompose(H), row_scan_pieces(H)
-        assert len(got) == len(want)
-        for p, q in zip(got, want):
-            assert p.color == q.color
-            for a, b in ((p.i, q.i), (p.j, q.j), (p.values, q.values)):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-        total = np.zeros((H.dim, H.dim), dtype=complex)  # the sum of p.materialize(N), without N^2 per piece
-        for p in got:
-            total[p.i, p.j] += p.values
-            if p.color.k != 1:
-                total[p.j, p.i] += np.conjugate(p.values)
+        got = decompose(H)
+        assert_decomposition(got, row_scan_decomposition(H))
+        total = np.zeros((H.dim, H.dim), dtype=complex)  # the sum of the piece matrices, without N^2 per piece
+        for p in pieces_of(got):
+            total[p.i, p.j] += p.v
+            if not p.diagonal:
+                total[p.j, p.i] += np.conjugate(p.v)
         assert np.array_equal(total, H.materialize().entries)
 
     @pytest.mark.parametrize("rows, D, error", BAD_ORACLES.values(), ids=BAD_ORACLES.keys())
@@ -242,28 +253,25 @@ class TestDecompose:
 class TestPieceExponential:
     def test_empty_piece_is_identity(self):
         none = np.array([], dtype=int)
-        p = BlockPiece(color=EntryColor(1, 0, 0, 1, 1), i=none, j=none, values=np.array([]))
+        p = Piece(diagonal=True, i=none, j=none, v=np.array([]))
         v = np.array([0.6, 0.8], dtype=complex)
         assert np.array_equal(piece_exponential(p, 1.7, v), v)
 
     def test_diagonal_phase(self):
-        p = BlockPiece(color=EntryColor(1, 0, 0, 1, 1), i=np.array([0]), j=np.array([0]),
-                       values=np.array([math.pi]))
+        p = Piece(diagonal=True, i=np.array([0]), j=np.array([0]), v=np.array([math.pi]))
         v = piece_exponential(p, 1.0, np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
         assert v[0] == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
         assert v[1] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_off_diagonal_quarter_turn(self):
-        p = BlockPiece(color=EntryColor(2, 0, 1, 1, 1), i=np.array([0]), j=np.array([1]),
-                       values=np.array([1.0 + 0j]))
+        p = Piece(diagonal=False, i=np.array([0]), j=np.array([1]), v=np.array([1.0 + 0j]))
         v = piece_exponential(p, math.pi / 2, np.array([1.0, 0.0], dtype=complex))
         assert np.allclose(v, [0.0, -1j], atol=1e-12)
 
     def test_matches_2x2_eigendecomposition(self):
         # Oracle: exponentiate the dense 2x2 block directly.
         val = 0.3 - 0.4j
-        p = BlockPiece(color=EntryColor(2, 0, 1, 1, 1), i=np.array([0]), j=np.array([1]),
-                       values=np.array([val]))
+        p = Piece(diagonal=False, i=np.array([0]), j=np.array([1]), v=np.array([val]))
         t = 0.9
         block = np.array([[0, val], [np.conjugate(val), 0]])
         vals, vecs = np.linalg.eigh(block)
@@ -278,8 +286,8 @@ class TestPieceExponential:
         N = H.dim
         rng = np.random.default_rng(seed)
         v = rng.normal(size=N) + 1j * rng.normal(size=N)
-        for p in decompose(sparse_from_dense(H)):
-            exact = matrix_exponential(p.materialize(N), t).entries
+        for p in pieces_of(decompose(sparse_from_dense(H))):
+            exact = matrix_exponential(piece_matrix(p, N), t).entries
             assert np.max(np.abs(piece_exponential(p, t, v) - exact @ v)) < 1e-12
             assert np.max(np.abs(piece_exponential(p, t, np.eye(N, dtype=complex)) - exact)) < 1e-12
 
@@ -331,45 +339,60 @@ decompositions = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 
     lambda nds: decompose(sparse_from_dense(random_sparse_hermitian(nds[0], min(nds[1], 1 << nds[0]), 1.0, nds[2]))))
 
 
-def touched(blocks) -> list[int]:
-    """The indices a piece or a layer acts on, with repeats."""
-    if isinstance(blocks, BlockPiece):
-        return blocks.i.tolist() if blocks.color.k == 1 else blocks.i.tolist() + blocks.j.tolist()
-    return blocks.d.tolist() + blocks.i.tolist() + blocks.j.tolist()
+def touched(p: Piece) -> list[int]:
+    """The indices a piece acts on, with repeats."""
+    return p.i.tolist() if p.diagonal else p.i.tolist() + p.j.tolist()
+
+
+def layer_runs(dec) -> list[list[Piece]]:
+    """The pieces of each layer of `dec`, in order: those whose first entry lies in the layer's range."""
+    pieces, firsts = pieces_of(dec), dec.cuts[:-1].tolist()
+    return [[p for p, e in zip(pieces, firsts) if a <= e < b] for a, b in zip(dec.layers[:-1], dec.layers[1:])]
 
 
 class TestLayers:
     @settings(max_examples=60, deadline=None)
     @given(decompositions)
-    def test_layers_are_maximal_runs_of_the_pieces_in_order(self, pieces):
-        rest = list(pieces)
-        for layer in pieces.layers:
-            run = []
-            while sum(p.i.size for p in run) < layer.d.size + layer.i.size:
-                run.append(rest.pop(0))
-            diag = [p for p in run if p.color.k == 1]
-            blocks = [p for p in run if p.color.k != 1]
-            for got, want in ((layer.d, [p.i for p in diag]), (layer.dv, [p.values for p in diag]),
-                              (layer.i, [p.i for p in blocks]), (layer.j, [p.j for p in blocks]),
-                              (layer.v, [p.values for p in blocks])):
-                assert np.array_equal(got, np.concatenate(want)) if want else got.size == 0
-            if rest:  # the next piece shares an index with this layer, so the run could not go on
-                assert set(touched(rest[0])) & set(touched(layer))
-        assert rest == []
+    def test_diagonal_entries_are_a_prefix_of_the_first_layer(self, dec):
+        d = dec.diagonal
+        assert np.all(dec.i[:d] == dec.j[:d]) and np.all(dec.i[d:] < dec.j[d:])
+        assert d == 0 or d <= dec.layers[1]
 
     @settings(max_examples=60, deadline=None)
     @given(decompositions)
-    def test_indices_within_a_layer_are_disjoint(self, pieces):
-        for layer in pieces.layers:
-            assert len(touched(layer)) == len(set(touched(layer)))
+    def test_every_layer_offset_is_a_piece_cut(self, dec):
+        layers = dec.layers
+        assert layers[0] == 0 and layers[-1] == dec.v.size and np.all(np.diff(layers) > 0)
+        assert np.all(np.isin(layers, dec.cuts))  # so no piece straddles two layers
+
+    @settings(max_examples=60, deadline=None)
+    @given(decompositions)
+    def test_indices_within_a_layer_are_disjoint(self, dec):
+        for run in layer_runs(dec):
+            indices = [x for p in run for x in touched(p)]
+            assert len(indices) == len(set(indices))
+
+    @settings(max_examples=60, deadline=None)
+    @given(decompositions)
+    def test_layers_are_maximal_runs_of_the_pieces_in_order(self, dec):
+        runs = layer_runs(dec)
+        for run, following in zip(runs, runs[1:]):  # the next piece shares an index, so the run could not go on
+            assert {x for p in run for x in touched(p)} & set(touched(following[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(decompositions, st.floats(1e-3, 2.0), st.integers(0, 2**32 - 1))
-    def test_layered_step_is_the_per_piece_product(self, pieces, delta, seed):
-        N = 1 + max(max(touched(p)) for p in pieces)  # the state needs no more rows than the pieces touch
+    def test_layered_step_is_the_per_piece_product(self, dec, delta, seed):
+        N = 1 + int(dec.j.max(initial=0))  # the state needs no more rows than the pieces touch; j >= i
         rng = np.random.default_rng(seed)
         for state in (np.eye(N, dtype=complex), rng.normal(size=N) + 1j * rng.normal(size=N)):
-            assert np.array_equal(trotter_step(pieces, delta, state), per_piece_trotter_step(pieces, delta, state))
+            assert np.array_equal(trotter_step(dec, delta, state), per_piece_trotter_step(dec, delta, state))
+
+    def test_no_nonzeros_is_no_pieces_and_the_identity(self):
+        dec = decompose(sparse_from_dense(DenseHermitian(np.zeros((4, 4)))))
+        assert len(dec) == 0 and dec.layers.tolist() == [0]
+        state = np.array([0.6, 0.8j, 0.0, 0.0])
+        assert np.array_equal(trotter_step(dec, 0.3, state), state)
+        assert np.array_equal(trotter_unitary(dec, 0.3, 3, 4), np.eye(4))
 
     def test_the_state_is_not_written(self):
         pieces = decompose(sparse_from_dense(random_sparse_hermitian(3, 4, 1.0, seed=8)))
@@ -400,6 +423,40 @@ class TestSimulateSparse:
         exact = matrix_exponential(H, 1.0).entries
         U, error = sparseham.trotter_within(decompose(sparse_from_dense(H)), exact, 1.0, 1e-4, 1.0)
         assert error == spectral_norm(U - exact) <= 1e-4
+
+    def test_a_seed_past_the_float_range_exhausts_the_budget(self, monkeypatch):
+        """lam^3 = 1e330 overflows a float; the seed is over the step budget by far, so no step count is tried."""
+        monkeypatch.setattr(sparseham, "trotter_unitary", None)
+        dec = decompose(sparse_from_dense(random_sparse_hermitian(2, 2, 1.0, seed=1)))
+        with pytest.raises(sparseham.StepBudgetError):
+            sparseham.trotter_within(dec, np.eye(4), 1e-106, 1e-3, 1e110)
+
+    def test_a_small_seed_survives_an_overflowing_lam_cubed(self, monkeypatch):
+        """lam^3 = 1e330 overflows a float while the seed, sqrt(M * 1e-7), is 1 step; it is taken from the logs."""
+        tried = []
+        monkeypatch.setattr(sparseham, "trotter_unitary",
+                            lambda pieces, delta, steps, N: tried.append(steps) or np.eye(N))
+        dec = decompose(sparse_from_dense(random_sparse_hermitian(2, 2, 1.0, seed=1)))
+        sparseham.trotter_within(dec, np.eye(4), 1e-170, 1e-3, 1e110)
+        assert tried == [1]
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.999, 1.5, 2.7])
+    def test_the_seed_near_the_budget_is_the_error_term(self, fraction, monkeypatch):
+        """Seeds up to a factor e over the budget are computed as before: tried when within it, refused when not."""
+        tried = []
+        monkeypatch.setattr(sparseham, "trotter_unitary",
+                            lambda pieces, delta, steps, N: tried.append(steps) or np.eye(N))
+        dec = decompose(sparse_from_dense(random_sparse_hermitian(2, 2, 1.0, seed=1)))
+        M, alpha = len(dec), 1e-3
+        t = fraction * sparseham.MAX_TROTTER_STEPS * math.sqrt(alpha / M)
+        seed = math.ceil(math.sqrt(M * 1.0**3 * t**2 / alpha))
+        if seed <= sparseham.MAX_TROTTER_STEPS:
+            sparseham.trotter_within(dec, np.eye(4), t, alpha, 1.0)
+            assert tried == [seed]
+        else:
+            with pytest.raises(sparseham.StepBudgetError):
+                sparseham.trotter_within(dec, np.eye(4), t, alpha, 1.0)
+            assert tried == []
 
     def test_time_zero(self):
         H = sparse_from_dense(random_sparse_hermitian(2, 2, 1.0, seed=1))
@@ -435,11 +492,9 @@ class TestSimulateSparse:
         i, j = np.nonzero((m != 0) | (rng.random((N, N)) < 0.5))
         with_zeros = SparseHamiltonian(N.bit_length() - 1, i, j, m[i, j], D=N, lam=1.0)
         plain = sparse_from_dense(H, D=N, lam=1.0)
-        got, want = decompose(with_zeros), decompose(plain)
-        assert len(got) == len(want)
-        for p, q in zip(got, want):
-            assert p.color == q.color
-            assert all(np.array_equal(a, b) for a, b in ((p.i, q.i), (p.j, q.j), (p.values, q.values)))
+        want = row_scan_decomposition(plain)
+        assert_decomposition(decompose(with_zeros), want)
+        assert_decomposition(decompose(plain), want)
         U = simulate_sparse(with_zeros, t, 1e-3)
         assert np.array_equal(U, simulate_sparse(plain, t, 1e-3))
         assert spectral_norm(U - matrix_exponential(H, t).entries) <= 1e-3
