@@ -26,7 +26,6 @@ from .qcore import (
     hermitian_entries,
     hermitian_norm,
     matrix_exponential,
-    spectral_norm,
     state_overlap,
 )
 
@@ -36,7 +35,7 @@ class _Frames(NamedTuple):
 
     e: np.ndarray  # S x N: {a, e} is an orthonormal frame of span{a, b}; e = 0 where b is a phase times a
     ov: np.ndarray  # <a|b>, complex(np.vdot(a, b))
-    ov_mag: list[float]  # abs(complex(<a|b>)): floats, so that the gap formula squares them as at one s
+    ov_mag: np.ndarray  # |<a|b>|, each taken by Python's abs(complex), which np.abs can differ from in the last bit
     width: np.ndarray  # ||b - <a|b> a||
     b_e: np.ndarray  # <e|b>: b = <a|b> a + <e|b> e
 
@@ -75,7 +74,7 @@ class HamiltonianPath:
         r_norm = np.linalg.norm(R, axis=1, keepdims=True)
         keep = r_norm > width[:, None] / 2  # else b - <a|b>a was rounding error along a, and e = 0
         E = np.divide(R, r_norm, out=np.zeros_like(R), where=keep)
-        return _Frames(E, ov, [abs(v) for v in ov.tolist()], width, np.sum(E.conj() * B, axis=1))
+        return _Frames(E, ov, np.array([abs(v) for v in ov.tolist()]), width, np.sum(E.conj() * B, axis=1))
 
     def _locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(segment, eta) at each s; the one-state path sits at eta = 1."""
@@ -87,11 +86,11 @@ class HamiltonianPath:
     @property
     def overlaps(self) -> list[float]:
         """|<a_j|a_{j+1}>| of each segment; a one-state path is one segment from a_0 to itself."""
-        return self._frames.ov_mag
+        return self._frames.ov_mag.tolist()
 
-    def _ground_coords(self, j: int, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gap and unit top eigenvector of (1-eta)|a><a| + eta|b><b| on segment j, the latter as
-        frame coordinates (on a, on e)."""
+    def _ground_coords(self, j, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gap and unit top eigenvector of (1-eta)|a><a| + eta|b><b| on segment j (one segment, or
+        one per eta), the latter as frame coordinates (on a, on e)."""
         f = self._frames
         gap = two_projector_gap_formula(f.ov_mag[j], eta)
         beta = (1 + gap) / 2 - 1 + eta
@@ -103,28 +102,22 @@ class HamiltonianPath:
         return c_a * self.states[j] + c_e * self._frames.e[j]
 
     def gap(self, s):
-        """Gap at s, a float or an array; an array gives bit for bit the gaps of its points one at a time."""
-        seg, eta = self._locate(np.atleast_1d(np.asarray(s, dtype=float)))
-        gaps = np.empty_like(eta)
-        for j, lo, hi in _runs(seg):
-            gaps[lo:hi] = two_projector_gap_formula(self._frames.ov_mag[j], eta[lo:hi])
-        return gaps if np.ndim(s) else float(gaps[0])
+        """Gap at each point of s, in the shape of s."""
+        seg, eta = self._locate(np.asarray(s, dtype=float))
+        return two_projector_gap_formula(self._frames.ov_mag[seg], eta)
 
     def derivative_norm(self, s):
-        """||dH/ds|| = (L-1) ||b - <a|b> a|| at s, a float or an array.
+        """||dH/ds|| = (L-1) ||b - <a|b> a|| at each point of s, in the shape of s.
 
         (L-1) sqrt(1 - |<a|b>|^2) would read ~1e-8 where a and b coincide.
         """
         seg, _ = self._locate(np.asarray(s, dtype=float))
-        norms = (len(self.states) - 1) * self._frames.width[seg]
-        return norms if np.ndim(s) else float(norms)
+        return (len(self.states) - 1) * self._frames.width[seg]
 
     def _grounds(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(segment, groundstate coordinate on a, on e) at each s."""
         seg, eta = self._locate(s)
-        g_a, g_e = np.empty(len(s), complex), np.empty(len(s), complex)
-        for j, lo, hi in _runs(seg):
-            _, g_a[lo:hi], g_e[lo:hi] = self._ground_coords(j, eta[lo:hi])
+        _, g_a, g_e = self._ground_coords(seg, eta)
         return seg, g_a, g_e
 
     def ground_state(self, s: float) -> StateVector:
@@ -168,15 +161,8 @@ def projector_hamiltonian(alpha: StateVector) -> DenseHermitian:
 
 
 def two_projector_gap_formula(overlap_mag, eta):
-    """Gap of (1-eta)(I-|a><a|) + eta(I-|b><b|): sqrt(1 - 4(1-eta)eta |b_perp|^2).
-
-    Floats give a float; arrays give the array of gaps, elementwise.
-    """
-    b_perp_sq = 1.0 - overlap_mag**2
-    x = 1.0 - 4.0 * (1.0 - eta) * eta * b_perp_sq
-    if isinstance(x, np.ndarray):
-        return np.sqrt(np.maximum(x, 0.0))
-    return math.sqrt(max(0.0, x))
+    """Gap of (1-eta)(I-|a><a|) + eta(I-|b><b|): sqrt(1 - 4(1-eta)eta |b_perp|^2), elementwise."""
+    return np.sqrt(np.maximum(1.0 - 4.0 * (1.0 - eta) * eta * (1.0 - overlap_mag * overlap_mag), 0.0))
 
 
 class DisconnectedPathError(NumericalError, ValueError):
@@ -207,18 +193,17 @@ def check_adiabatic_condition(path: HamiltonianPath) -> ConditionReport:
     """Worst ||dH/ds|| / gap^2 over an open grid; a run of length T meets the condition iff T*eps covers it.
 
     Gaps and derivative norms come from the path's per-segment values, O(1) per
-    grid point; each ratio is taken in floats, as the pinned reference ratios were.
+    grid point.  The first worst point is reported; where every ratio is 0, worst_s is 0.
     """
     s = np.linspace(1e-5, 1 - 1e-5, CONDITION_GRID)
-    derivs = path.derivative_norm(s).tolist()
-    max_ratio, worst_s = 0.0, 0.0
-    for s_k, gap, deriv in zip(s.tolist(), path.gap(s).tolist(), derivs):
-        if gap < DEGENERACY_TOL:
-            raise DegenerateGroundstateError(f"path degenerate at s={s_k}: gap {gap}")
-        ratio = deriv / gap**2
-        if ratio > max_ratio:
-            max_ratio, worst_s = ratio, s_k
-    return ConditionReport(max_ratio=max_ratio, worst_s=worst_s, max_derivative_norm=max(derivs))
+    gap, deriv = path.gap(s), path.derivative_norm(s)
+    low = np.flatnonzero(gap < DEGENERACY_TOL)
+    if low.size:
+        raise DegenerateGroundstateError(f"path degenerate at s={float(s[low[0]])}: gap {float(gap[low[0]])}")
+    ratio = deriv / (gap * gap)
+    k = int(np.argmax(ratio))
+    return ConditionReport(max_ratio=float(ratio[k]), worst_s=float(s[k]) if ratio[k] > 0 else 0.0,
+                           max_derivative_norm=float(np.max(deriv)))
 
 
 def evolve_discretized(path: HamiltonianPath, T: float, delta: float, psi0: StateVector) -> EvolutionReport:
@@ -394,9 +379,8 @@ def groundstate_perturbation_bound(H, J):
 
     H and J are two DenseHermitian, or two (..., N, N) Hermitian stacks paired
     matrix by matrix.  Each operator's groundstate and gap come from one eigh
-    call per operand.  A pair of DenseHermitian gives two floats and raises
-    DegenerateGroundstateError on a degenerate groundstate; stacks give two
-    arrays, NaN at each degenerate pair.
+    call per operand, and eta from one eigvalsh call.  The result is two arrays
+    in the shape of the stacks (0-d for a pair), NaN at each degenerate pair.
     """
     h, j = hermitian_entries(H), hermitian_entries(J)
     if h.shape != j.shape:
@@ -404,10 +388,6 @@ def groundstate_perturbation_bound(H, J):
     (valsH, vecsH), (valsJ, vecsJ) = np.linalg.eigh(h), np.linalg.eigh(j)
     gap = np.minimum(valsH[..., 1] - valsH[..., 0], valsJ[..., 1] - valsJ[..., 0])
     lhs = np.abs(np.sum(vecsH[..., 0].conj() * vecsJ[..., 0], axis=-1))
-    if isinstance(H, DenseHermitian):
-        if gap < DEGENERACY_TOL:
-            raise DegenerateGroundstateError(f"groundstate degenerate: gap {gap:.3e} < tol {DEGENERACY_TOL:.3e}")
-        return float(lhs), 1.0 - 4.0 * spectral_norm(h - j) ** 2 / float(gap) ** 2
     degenerate = gap < DEGENERACY_TOL
     rhs = 1.0 - 4.0 * hermitian_norm(h - j) ** 2 / np.where(degenerate, np.nan, gap) ** 2
     return np.where(degenerate, np.nan, lhs), rhs

@@ -154,6 +154,8 @@ _MAX_STEP_NORM = 0.25  # largest delta * lam the sweep starts from; the defaults
 def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
     n, D, lam, t = cfg["n"], cfg["D"], cfg["lam"], cfg["t"]
     _require(cfg, "n", 1 <= n <= _MAX_QUBITS, f"in [1, {_MAX_QUBITS}]")
+    _require(cfg, "D", D >= 1, ">= 1")
+    _require(cfg, "lam", lam > 0, "positive")
     _require(cfg, "t", t > 0, "positive")
     _require(cfg, "alpha", 0 < cfg["alpha"] < 1, "in (0, 1)")
     _require(cfg, "start_steps", cfg["start_steps"] >= 1, ">= 1")
@@ -322,7 +324,8 @@ def _run_compile_circuit(cfg: dict, report: RunReport) -> None:
 
 def _run_markov_spectrum(cfg: dict, report: RunReport) -> None:
     _require_trials(cfg, "trials")
-    _require(cfg, "max_states", cfg["max_states"] >= 3, ">= 3")
+    # N is drawn from [2, max_states), so max_states - 1 bounds the chain's dimension
+    _require(cfg, "max_states", 3 <= cfg["max_states"] <= MAX_DIM + 1, f"in [3, {MAX_DIM + 1}]")
     rng = sub_rng(cfg["seed"], "markov-spectrum")
     worst_spec = worst_ground = 0.0
     for _ in range(cfg["trials"]):
@@ -359,6 +362,7 @@ def _random_reversible_chain(N: int, rng: np.random.Generator) -> markov.MarkovC
 def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     n = cfg["n"]
     edge = cfg["removed_edge"]
+    _require(cfg, "n", 1 <= n <= markov.MAX_MATCHING_N, f"in [1, {markov.MAX_MATCHING_N}]")
     _require(cfg, "removed_edge", len(edge) == 2 and all(0 <= v < n for v in edge), f"two vertices in [0, {n})")
     _require(cfg, "steps", cfg["steps"] >= 0, ">= 0")
     _require(cfg, "R", cfg["R"] >= 1, ">= 1")

@@ -152,14 +152,10 @@ def hermitian_norm(stack: np.ndarray) -> np.ndarray:
 
 
 def spectral_gap(H):
-    """Difference between the two smallest eigenvalues.
-
-    A DenseHermitian gives a float; a (..., N, N) stack gives the array of
-    its matrices' gaps, from one eigvalsh call.
-    """
+    """Difference between the two smallest eigenvalues of a DenseHermitian, or of each
+    matrix of a (..., N, N) stack, from one eigvalsh call."""
     vals = np.linalg.eigvalsh(hermitian_entries(H))
-    gaps = vals[..., 1] - vals[..., 0]
-    return float(gaps) if isinstance(H, DenseHermitian) else gaps
+    return vals[..., 1] - vals[..., 0]
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Reference oracles that the package's routines are tested against.
 
 `path_hamiltonian` is the dense H(s) of a jagged path and `condition_reference`
-its adiabatic condition taken point by point, `padded_chain_hamiltonian`
+its adiabatic condition taken point by point, `perturbation_bound_pair` is the
+groundstate perturbation bound of one pair of matrices, `padded_chain_hamiltonian`
 embeds a chain Hamiltonian in power-of-two dimension,
 `direct_seed_amplitudes` writes the matchings seed state down directly, and
 `fidelity` is the classical fidelity that Qsample overlaps equal.
@@ -51,10 +52,21 @@ def condition_reference(path) -> ConditionReport:
             raise DegenerateGroundstateError(f"path degenerate at s={s}: gap {gap}")
         deriv = (len(path.states) - 1) * float(np.linalg.norm(b - ov * a))
         max_deriv = max(max_deriv, deriv)
-        ratio = deriv / gap**2
+        ratio = deriv / (gap * gap)
         if ratio > max_ratio:
             max_ratio, worst_s = ratio, s
     return ConditionReport(max_ratio=max_ratio, worst_s=worst_s, max_derivative_norm=max_deriv)
+
+
+def perturbation_bound_pair(H: DenseHermitian, J: DenseHermitian) -> tuple[float, float]:
+    """|<a(H)|a(J)>| and 1 - 4 ||H - J||^2 / gap^2 from each matrix's own eigh and an SVD norm;
+    a degenerate groundstate raises DegenerateGroundstateError."""
+    (valsH, vecsH), (valsJ, vecsJ) = np.linalg.eigh(H.entries), np.linalg.eigh(J.entries)
+    gap = float(min(valsH[1] - valsH[0], valsJ[1] - valsJ[0]))
+    if gap < DEGENERACY_TOL:
+        raise DegenerateGroundstateError(f"groundstate degenerate: gap {gap:.3e} < tol {DEGENERACY_TOL:.3e}")
+    lhs = abs(complex(np.vdot(vecsH[:, 0], vecsJ[:, 0])))
+    return lhs, 1.0 - 4.0 * float(np.linalg.norm(H.entries - J.entries, 2)) ** 2 / gap**2
 
 
 def padded_chain_hamiltonian(M: MarkovChain, pi: StationaryDistribution | None = None) -> DenseHermitian:

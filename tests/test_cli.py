@@ -194,6 +194,13 @@ REJECTED = {
     "qsample-steps-negative": (["matchings-qsample", "--steps", "-1"], None, None, 2, "steps must be"),
     "adiabatic-eps-0": (["adiabatic-run", "--eps", "0"], None, None, 2, "eps must be positive, got 0.0"),
     "markov-max-states-2": (["markov-spectrum", "--max-states", "2"], None, None, 2, "max_states"),
+    # N = 4107 would pass the draw and fail only at the chain Hamiltonian, after seconds of work
+    "markov-max-states-4200": (["markov-spectrum", "--max-states", "4200", "--trials", "1", "--seed", "8"], None,
+                               None, 2, "max_states must be in [3, 4097], got 4200"),
+    "qsample-n-0": (["matchings-qsample", "--n", "0"], None, None, 2, "n must be in [1, 4], got 0"),
+    "qsample-n-5": (["matchings-qsample", "--n", "5"], None, None, 2, "n must be in [1, 4], got 5"),
+    "trotter-D-0": (["trotter-sweep", "--D", "0"], None, None, 2, "D must be >= 1, got 0"),
+    "trotter-lam-0": (["trotter-sweep", "--lam", "0"], None, None, 2, "lam must be positive, got 0.0"),
     "szk-dlp-p-4": (["szk-dlp", "--p", "4"], None, None, 2, "p must be"),
     "szk-dlp-p-7": (["szk-dlp", "--p", "7"], None, None, 2, "p must be"),
     "szk-dlp-composite-p": (["szk-dlp", "--p", "9", "--g", "2"], None, None, 2, "p must be prime"),
