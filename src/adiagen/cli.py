@@ -175,8 +175,8 @@ def _run_trotter_sweep(cfg: dict, report: RunReport) -> None:
     rows = []
     for _ in range(cfg["points"]):
         delta = t / (2 * steps)
-        U = sparseham.trotter_unitary(pieces, delta, steps, H.dim)
-        rows.append((delta, spectral_norm(U - exact)))
+        # U is left unnamed, so that none outlives its error into trotter_within, which holds its own
+        rows.append((delta, spectral_norm(sparseham.trotter_unitary(pieces, delta, steps, H.dim) - exact)))
         steps *= 2
     log_deltas, log_errors = np.log([d for d, _ in rows]), np.log([max(e, 1e-16) for _, e in rows])
     slope = float(np.polyfit(log_deltas, log_errors, 1)[0])
@@ -292,7 +292,11 @@ def _run_adiabatic_run(cfg: dict, report: RunReport) -> None:
     path = adiabatic.compile_circuit(gates, x)
     eps = cfg["eps"]
     cond = adiabatic.check_adiabatic_condition(path)
-    T = cfg["T"] or max(1.0, cond.max_ratio / eps)
+    T = cfg["T"]
+    if not T:  # derived: T = max_ratio / eps, raised past the quotient's rounding so that T * eps >= max_ratio
+        T = max(1.0, cond.max_ratio / eps)
+        while T * eps < cond.max_ratio:
+            T = math.nextafter(T, math.inf)
     rep = adiabatic.evolve_discretized(path, T, cfg["delta"], path.ground_state(0.0))
     report.scalars["T"] = T
     report.scalars["max_condition_ratio"] = cond.max_ratio

@@ -5,6 +5,7 @@ and serves as the ground-truth oracle for the rest of the package.  hbar = 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,12 +112,38 @@ class UnitaryMatrix:
             raise ValueError(f"matrix not unitary: residual {resid}")
 
 
+def _require_finite(m: np.ndarray) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise NumericalError("matrix has a NaN or infinite entry: its norm is undefined")
+    return m
+
+
 def spectral_norm(A) -> float:
-    """Largest singular value; for Hermitian input the largest |eigenvalue|."""
-    m = A.entries if isinstance(A, DenseHermitian) else _as_complex_array(A)
-    if m.size == 0:
+    """Largest singular value of a matrix, without an SVD: t * sqrt(lambda_max(A^H A / t^2)).
+
+    The scale t, from s = max|A_ij|, keeps the square clear of underflow and overflow.  The
+    top eigenvalue of a Gram matrix is backward stable relative to its norm, so the result
+    keeps full relative precision unless s itself is subnormal (below 2.2e-308); only the
+    small singular values, which nothing here reads, lose digits to the squaring.  The Gram
+    matrix is formed from one scaled conjugate copy of A.  An input that is not 2-D raises
+    ValueError, and a NaN or infinite entry NumericalError.
+    """
+    m = _require_finite(A.entries if isinstance(A, DenseHermitian) else _as_complex_array(A))
+    if m.ndim != 2:
+        raise ValueError(f"spectral_norm needs a matrix, got shape {m.shape}")
+    s = float(np.max(np.abs(m), initial=0.0))
+    if s == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    # c = conj(m) / t^2 and gram = c^T m = A^H A / t^2 with t = max(s, sqrt(s)): no entry of c and no
+    # product in c^T m exceeds 1 in magnitude, and 1/t, the factor numpy's complex division multiplies
+    # by, is finite for any s > 0
+    t = max(s, math.sqrt(s))
+    c = m.conj()
+    c /= t
+    c /= t
+    gram = c.T @ m
+    del c  # freed before eigvalsh takes its own copy of gram
+    return t * math.sqrt(np.linalg.eigvalsh(gram)[-1])
 
 
 def matrix_exponential(H: DenseHermitian, t: float) -> UnitaryMatrix:
@@ -147,8 +174,9 @@ def hermitian_entries(H) -> np.ndarray:
 
 
 def hermitian_norm(stack: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix of a Hermitian (..., N, N) stack: its largest |eigenvalue|."""
-    return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+    """Spectral norm of each matrix of a Hermitian (..., N, N) stack: its largest |eigenvalue|,
+    from one eigvalsh call.  A NaN or infinite entry raises NumericalError."""
+    return np.max(np.abs(np.linalg.eigvalsh(_require_finite(stack))), axis=-1)
 
 
 def spectral_gap(H):
@@ -208,7 +236,7 @@ def random_sparse_hermitian(n: int, D: int, lam: float, seed: int) -> DenseHermi
     1/2.  Each row's remaining slots are stubs, paired at random into
     off-diagonal entries v ~ N(0, 1) + i N(0, 1) with the mirror v*; the stubs
     lost to self-pairs and repeats are paired once more.  H is then rescaled
-    to spectral norm lam.  O(N D log(N D)) to draw, plus the norm's SVD.
+    to spectral norm lam, its largest |eigenvalue|.  O(N D log(N D)) to draw, plus one eigvalsh.
     """
     if D < 1 or lam <= 0:
         raise ValueError("need D >= 1 and lam > 0")
@@ -231,7 +259,7 @@ def random_sparse_hermitian(n: int, D: int, lam: float, seed: int) -> DenseHermi
     H[i, j] = v
     H[j, i] = v.conj()
 
-    norm = spectral_norm(H)
+    norm = hermitian_norm(H)
     if norm > 0:
         H *= lam / norm
     return DenseHermitian(H)

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import DenseHermitian, NumericalError, matrix_exponential, spectral_norm
+from .qcore import DenseHermitian, NumericalError, hermitian_norm, matrix_exponential, spectral_norm
 
 
 class InconsistentOracleError(ValueError):
@@ -101,7 +101,7 @@ def sparse_from_dense(H: DenseHermitian, D: int | None = None, lam: float | None
     return SparseHamiltonian(
         n=n, i=i, j=j, v=H.entries[i, j],
         D=D if D is not None else max(int(np.bincount(i, minlength=N).max()), 1),
-        lam=lam if lam is not None else spectral_norm(H),
+        lam=lam if lam is not None else float(hermitian_norm(H.entries)),
     )
 
 

@@ -22,6 +22,7 @@ from adiagen.qcore import (
     spectral_norm,
     state_overlap,
 )
+from dense_references import perturbation_bound_pair
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -296,10 +297,10 @@ def parent_zen_bound(seed: int, trials: int, dim: int = 8):
         H = DenseHermitian((A + A.conj().T) / 2)
         P = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         P = (P + P.conj().T) / 2
-        scale = float(rng.uniform(1e-4, 0.2)) / max(spectral_norm(P), 1e-12)
+        scale = float(rng.uniform(1e-4, 0.2)) / max(float(np.linalg.norm(P, 2)), 1e-12)
         J = DenseHermitian(H.entries + scale * P)
         try:
-            lhs, rhs = adiabatic.groundstate_perturbation_bound(H, J)
+            lhs, rhs = perturbation_bound_pair(H, J)
         except DegenerateGroundstateError:
             continue
         worst_margin = min(worst_margin, lhs - rhs)
@@ -374,6 +375,28 @@ def test_adiabatic_run_checks_the_condition_once(monkeypatch):
                         lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
     assert cli.run({"command": "adiabatic-run", "seed": 1}).ok
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("circuit", ["bell2", "schrodinger7"])
+def test_derived_T_meets_the_condition_at_every_eps(circuit, tmp_path):
+    """T = max_ratio / eps can round to a T with T * eps < max_ratio (about 3% of eps: 0.01 on bell2,
+    0.0781 on schrodinger7); the derived T is the first float at or above the quotient that passes."""
+    cfg = {"command": "adiabatic-run", "seed": 1, "delta": 1.0}  # a coarse evolution: only T is checked
+    if circuit == "schrodinger7":
+        (tmp_path / "gates.txt").write_text("H 0\nCCX 0 1 6\n")
+        cfg.update(gate_file=str(tmp_path / "gates.txt"), n=7)
+    else:
+        cfg["circuit"] = circuit
+    for eps in [0.01, 0.0781, *np.round(np.arange(0.001, 0.2, 0.0005), 4).tolist()]:
+        report = cli.run({**cfg, "eps": eps})
+        T, ratio = report.scalars["T"], report.scalars["max_condition_ratio"]
+        assert report.flags["condition_holds"] and T * eps >= ratio, eps
+        assert T == max(1.0, ratio / eps) or math.nextafter(T, 0) * eps < ratio, eps
+
+
+def test_given_T_is_kept():
+    report = cli.run({"command": "adiabatic-run", "seed": 1, "circuit": "bell2", "T": 30.0, "eps": 0.0781})
+    assert report.scalars["T"] == 30.0
 
 
 def test_adiabatic_run_reports_where_the_condition_is_tightest():

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiagen import sparseham
 from adiagen.qcore import (
     DegenerateGroundstateError,
     DenseHermitian,
     DimensionMismatchError,
+    NumericalError,
     StateVector,
     UnitaryMatrix,
     ground_state,
+    hermitian_norm,
     matrix_exponential,
     random_sparse_hermitian,
     spectral_gap,
@@ -37,6 +40,18 @@ def power_iteration_norm(A, iters=500):
         v = B @ v
         v /= np.linalg.norm(v)
     return math.sqrt(abs(np.vdot(v, B @ v)))
+
+
+def svd_norm(A):
+    """Independent oracle: the largest singular value from an SVD."""
+    return float(np.linalg.norm(A, 2))
+
+
+def trotter_error(n, D, t, steps, seed):
+    """U - e^{-iHt} for the symmetric Trotter product of a random sparse H with ||H|| = 1."""
+    H = random_sparse_hermitian(n, D, 1.0, seed)
+    pieces = sparseham.decompose(sparseham.sparse_from_dense(H))
+    return sparseham.trotter_unitary(pieces, t / (2 * steps), steps, H.dim) - matrix_exponential(H, t).entries
 
 
 def taylor_exponential(H, t, terms=20):
@@ -75,6 +90,57 @@ class TestSpectralNorm:
             H = random_hermitian(5, rng)
             D = H.dim
             assert spectral_norm(H) <= D * D * np.max(np.abs(H.entries)) + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 64), st.floats(0, 1),
+           st.sampled_from([1e-300, 1e-200, 1e-8, 1.0, 1e200, 1e300]), st.integers(0, 2**32 - 1))
+    def test_matches_the_svd(self, p, q, rank_share, scale, seed):
+        """p x q of rank r = round(share * min(p, q)) (the zero matrix at r = 0), entries of order `scale`."""
+        rng = np.random.default_rng(seed)
+        r = round(rank_share * min(p, q))
+        A = scale * ((rng.normal(size=(p, r)) + 1j * rng.normal(size=(p, r)))
+                     @ (rng.normal(size=(r, q)) + 1j * rng.normal(size=(r, q))))
+        assert abs(spectral_norm(A) - svd_norm(A)) <= 1e-12 * svd_norm(A)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.sampled_from([1e-5, 1e-4, 1e-2, 1.0]), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_trotter_error_matches_the_svd(self, n, D, t, steps, seed):
+        """E = U - e^{-iHt} for a real Trotter product, its norm down to round-off (1e-16 to 1e-14 at t = 1e-5)."""
+        E = trotter_error(n, min(D, 1 << n), t, steps, seed)
+        assert abs(spectral_norm(E) - svd_norm(E)) <= 1e-12 * svd_norm(E)
+
+    @pytest.mark.parametrize("entry", [1e-310, 5e-324])
+    def test_subnormal_entries(self, entry):
+        """All-equal 3 x 3: norm 3 * entry, the products in its Gram matrix exact at these scales."""
+        assert spectral_norm(np.full((3, 3), entry)) == 3 * entry
+
+    def test_trotter_error_at_round_off(self):
+        E = trotter_error(5, 4, 1e-5, 1, seed=1)
+        assert 1e-16 < svd_norm(E) < 1e-14
+        assert abs(spectral_norm(E) - svd_norm(E)) <= 1e-12 * svd_norm(E)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 32), st.sampled_from([1e-200, 1.0, 1e200]), st.integers(0, 2**32 - 1))
+    def test_hermitian_norm_matches_the_svd(self, k, N, scale, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(k, N, N)) + 1j * rng.normal(size=(k, N, N))
+        stack = scale * (A + np.swapaxes(A, -1, -2).conj())
+        got, want = hermitian_norm(stack), np.array([svd_norm(h) for h in stack])
+        assert got.shape == (k,) and np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_not_a_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="needs a matrix"):
+            spectral_norm(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("norm", [spectral_norm, hermitian_norm])
+    def test_non_finite_entry_raises(self, norm, bad):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(NumericalError, match="NaN or infinite entry"):
+            norm(m)
 
 
 class TestMatrixExponential:
