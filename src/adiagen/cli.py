@@ -335,16 +335,15 @@ def _run_markov_spectrum(cfg: dict, report: RunReport) -> None:
     for _ in range(cfg["trials"]):
         N = int(rng.integers(2, cfg["max_states"]))
         chain = _random_reversible_chain(N, rng)
-        pi = markov.stationary(chain)
-        H = markov.chain_hamiltonian(chain, pi)
-        hvals = np.sort(np.linalg.eigvalsh(H.entries))
+        H = markov.chain_hamiltonian(chain)
+        hvals = np.linalg.eigvalsh(H)
         mvals = np.sort(1.0 - np.linalg.eigvals(chain.transition).real)
         worst_spec = max(worst_spec, float(np.max(np.abs(hvals - mvals))))
-        worst_ground = max(worst_ground, markov.sqrt_pi_deviation(H, pi, hvals))
+        worst_ground = max(worst_ground, markov.sqrt_pi_deviation(H, chain.pi, hvals))
     report.scalars["worst_spectrum_deviation"] = worst_spec
     report.scalars["worst_groundstate_deviation"] = worst_ground
     report.flags["spectrum_correspondence"] = worst_spec <= 1e-9
-    report.flags["groundstate_is_sqrt_pi"] = worst_ground <= 1e-8
+    report.flags["groundstate_is_sqrt_pi"] = worst_ground <= markov.SQRT_PI_TOL
 
 
 def _random_reversible_chain(N: int, rng: np.random.Generator) -> markov.MarkovChain:
@@ -376,7 +375,7 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     _, p_perfect = markov.project_perfect(seed_state, space)
     seq, space_t = markov.anneal_weights_sequence(n, target, cfg["steps"], cfg["ratio"])
     rep = markov.qsample_sequence(seq, seed_state, mode="zeno", R=cfg["R"])
-    target_state = markov.pi_state(seq.pis[-1])
+    target_state = markov.pi_state(seq.chains[-1].pi)
     fid = abs(state_overlap(rep.final_state, target_state))
     post, _ = markov.project_perfect(rep.final_state, space_t)
     target_perfect = [i for i in space_t.perfect_indices()
@@ -385,6 +384,7 @@ def _run_matchings_qsample(cfg: dict, report: RunReport) -> None:
     uniform_dev = float(np.max(np.abs(amps - 1.0 / math.sqrt(len(target_perfect)))))
     off_mass = float(1.0 - np.sum(amps**2))
     report.scalars["seed_perfect_probability"] = p_perfect
+    report.scalars["min_chain_gap"] = min(seq.gaps)
     report.scalars["final_fidelity"] = fid
     report.scalars["post_uniform_deviation"] = uniform_dev
     report.scalars["post_off_target_mass"] = off_mass
@@ -419,6 +419,7 @@ def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
     rng = sub_rng(cfg["seed"], "szk-dlp")
     c = szk.DLP_PROMISE_FRACTION
     family = szk.dlp_family(p, g)
+    logs = szk.dlp_logs(p, g)
     mismatches = 0
     for _ in range(cfg["instances"]):
         if rng.random() < 0.5:
@@ -427,7 +428,7 @@ def _run_szk_dlp(cfg: dict, report: RunReport) -> None:
             x = int(rng.integers(p // 2 + 1, p // 2 + int(c * p) + 1))
         y = pow(g, x, p)
         got = szk.dlp_decider(family, y, cfg["shots"], rng)
-        want = szk.dlp_promise_holds(p, g, y)
+        want = szk.dlp_promise_holds(logs, y)
         if got != want:
             mismatches += 1
     report.scalars["instances"] = cfg["instances"]

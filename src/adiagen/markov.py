@@ -16,8 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from . import adiabatic
-from .qcore import DenseHermitian, NumericalError, StateVector, ground_state  # noqa: F401
+from .qcore import DEGENERACY_TOL, NumericalError, StateVector, ground_state  # noqa: F401
 # ground_state is no longer called here; perfbench's tracer test still reads markov.ground_state.
+
+SQRT_PI_TOL = 1e-8  # largest certified ||g - |sqrt(pi)>|| for the groundstate g of H_M
 
 
 class NotReversibleError(NumericalError, ValueError):
@@ -30,18 +32,31 @@ class NotErgodicError(NumericalError, ValueError):
 
 @dataclass(frozen=True)
 class MarkovChain:
+    """A transition matrix and the distribution pi it satisfies detailed balance with.
+
+    Detailed balance pi_i P_ij = pi_j P_ji, checked once here, makes pi
+    stationary; `chain_gap` certifies that it is the only stationary distribution.
+    """
+
     transition: np.ndarray
+    pi: StationaryDistribution
 
     def __post_init__(self):
         M = np.asarray(self.transition, dtype=float)
         object.__setattr__(self, "transition", M)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("transition matrix must be square")
+        if not np.isfinite(M).all():
+            raise ValueError("transition matrix has a NaN or infinite entry")
         if np.any(M < -1e-12):
             raise ValueError("negative transition probability")
         rowsums = M.sum(axis=1)
         if np.max(np.abs(rowsums - 1.0)) > 1e-10:
             raise ValueError("rows must sum to 1")
+        if self.pi.pi.shape != (M.shape[0],):
+            raise ValueError(f"pi has shape {self.pi.pi.shape}, not one entry per state of {M.shape[0]}")
+        if reversibility_residual(self) > 1e-8:
+            raise NotReversibleError("chain is not reversible w.r.t. its stationary distribution")
 
     @property
     def N(self) -> int:
@@ -55,6 +70,8 @@ class StationaryDistribution:
     def __post_init__(self):
         p = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", p)
+        if not np.isfinite(p).all():
+            raise ValueError("distribution has a NaN or infinite entry")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValueError("distribution must sum to 1")
         if np.any(p < -1e-12):
@@ -72,49 +89,24 @@ class ChainSequence:
             raise ValueError("all chains must share a state space")
 
     @cached_property
-    def pis(self) -> tuple[StationaryDistribution, ...]:
-        """Each chain's stationary distribution, computed on first use."""
-        return tuple(stationary(c) for c in self.chains)
+    def gaps(self) -> tuple[float, ...]:
+        """Each chain Hamiltonian's certified spectral gap (`chain_gap`), computed on first use."""
+        return tuple(chain_gap(c) for c in self.chains)
 
 
-def stationary(M: MarkovChain) -> StationaryDistribution:
-    """Left eigenvector for eigenvalue 1, via the null space of M^T - I."""
-    A = M.transition.T - np.eye(M.N)
-    _u, s, vh = np.linalg.svd(A)
-    null_dim = int(np.sum(s < 1e-9))
-    if null_dim != 1:
-        raise NotErgodicError(f"eigenvalue-1 multiplicity {max(null_dim, 1)} != 1")
-    v = np.real(vh[-1])
-    if v.sum() < 0:
-        v = -v
-    if np.any(v < -1e-9):
-        raise NotErgodicError("stationary vector changes sign")
-    v = np.clip(v, 0.0, None)
-    return StationaryDistribution(v / v.sum())
-
-
-def reversibility_residual(M: MarkovChain, pi: StationaryDistribution) -> float:
-    flow = pi.pi[:, None] * M.transition
+def reversibility_residual(M: MarkovChain) -> float:
+    flow = M.pi.pi[:, None] * M.transition
     return float(np.max(np.abs(flow - flow.T)))
 
 
-def _require_reversible(M: MarkovChain, pi: StationaryDistribution) -> None:
-    if reversibility_residual(M, pi) > 1e-8:
-        raise NotReversibleError("chain is not reversible w.r.t. its stationary distribution")
-
-
-def chain_hamiltonian(M: MarkovChain, pi: StationaryDistribution | None = None) -> DenseHermitian:
-    """H_M = I - Diag(sqrt(pi)) M Diag(1/sqrt(pi)); symmetric iff M is reversible."""
-    if pi is None:
-        pi = stationary(M)
-    _require_reversible(M, pi)
-    sq = np.sqrt(pi.pi)
+def chain_hamiltonian(M: MarkovChain) -> np.ndarray:
+    """H_M = I - Diag(sqrt(pi)) M Diag(1/sqrt(pi)), real symmetric since M is reversible."""
+    sq = np.sqrt(M.pi.pi)
     H = np.eye(M.N) - (sq[:, None] * M.transition) / sq[None, :]
-    H = (H + H.T) / 2  # kill reversibility-residual asymmetry at round-off scale
-    return DenseHermitian(H)
+    return (H + H.T) / 2  # kill reversibility-residual asymmetry at round-off scale
 
 
-def sqrt_pi_deviation(H: DenseHermitian, pi: StationaryDistribution, spectrum: np.ndarray) -> float:
+def sqrt_pi_deviation(H: np.ndarray, pi: StationaryDistribution, spectrum: np.ndarray) -> float:
     """Bound on ||g - |sqrt(pi)>|| for the phase-aligned groundstate g of H; inf if there is none.
 
     `spectrum` is H's ascending eigvalsh spectrum; no eigenvector is computed.
@@ -126,13 +118,34 @@ def sqrt_pi_deviation(H: DenseHermitian, pi: StationaryDistribution, spectrum: n
     """
     v = np.sqrt(pi.pi)
     v = v / np.linalg.norm(v)
-    Hv = H.entries @ v
+    Hv = H @ v
     theta = float(np.vdot(v, Hv).real)
     above = spectrum[1] - theta if spectrum.size > 1 else math.inf
     if above <= 0 or theta - spectrum[0] >= above:
         return math.inf
     s = float(np.linalg.norm(Hv - theta * v)) / above
     return 2 * math.sin(math.asin(s) / 2) if s < 1 else math.inf
+
+
+def chain_gap(M: MarkovChain) -> float:
+    """H_M's gap lambda_1 - lambda_0, certified with one eigvalsh of the real symmetric H_M.
+
+    H_M's spectrum is 1 minus M's, so a gap above DEGENERACY_TOL means
+    eigenvalue 1 of M is simple and pi is its only stationary distribution;
+    `sqrt_pi_deviation` <= SQRT_PI_TOL means |sqrt(pi)> is H_M's groundstate.
+    Either failing raises NotErgodicError.  A one-state chain's gap is inf.
+    """
+    if not np.all(M.pi.pi > 0):
+        raise NotErgodicError("a state has zero stationary mass")
+    H = chain_hamiltonian(M)
+    spectrum = np.linalg.eigvalsh(H)
+    gap = float(spectrum[1] - spectrum[0]) if M.N > 1 else math.inf
+    if not gap > DEGENERACY_TOL:
+        raise NotErgodicError(f"eigenvalue 1 is not simple: H_M's gap {gap:.3e} <= {DEGENERACY_TOL:.0e}")
+    deviation = sqrt_pi_deviation(H, M.pi, spectrum)
+    if not deviation <= SQRT_PI_TOL:
+        raise NotErgodicError(f"|sqrt(pi)> is not H_M's groundstate: deviation bound {deviation:.3e}")
+    return gap
 
 
 def _next_pow2(N: int) -> int:
@@ -148,7 +161,7 @@ def pi_state(pi: StationaryDistribution) -> StateVector:
 
 
 def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]]) -> MarkovChain:
-    """Lazy Metropolis chain with pi proportional to the weights.
+    """Lazy Metropolis chain, carrying its stationary distribution pi = w / sum(w).
 
     Proposal: pick one of max-degree move slots uniformly (missing slots
     stay put), accept with min(1, w_target/w_source); then mix with a 1/2
@@ -156,6 +169,8 @@ def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]
     detailed balance holds entrywise.
     """
     w = np.asarray(weights, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
     N = w.size
@@ -180,7 +195,7 @@ def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]
     np.add.at(P, (src, dst), (1.0 / deg) * np.minimum(1.0, w[dst] / w[src]))
     P[np.diag_indices(N)] += 1.0 - P.sum(axis=1)
     P = 0.5 * np.eye(N) + 0.5 * P
-    return MarkovChain(transition=P)
+    return MarkovChain(transition=P, pi=StationaryDistribution(w / w.sum()))
 
 
 def variation_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -193,7 +208,7 @@ def check_slowly_varying(seq: ChainSequence) -> tuple[int, ...]:
     Each step's fidelity <pi_t|pi_{t+1}> (the groundstate overlap) is checked
     against its lower bound 1 - distance.
     """
-    pis = [pi.pi for pi in seq.pis]
+    pis = [c.pi.pi for c in seq.chains]
     violations = []
     for t in range(len(pis) - 1):
         d = variation_distance(pis[t], pis[t + 1])
@@ -211,9 +226,8 @@ def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
     violations = check_slowly_varying(seq)
     if violations:
         raise ValueError(f"sequence is not slowly varying at steps {violations}")
-    for c, pi in zip(seq.chains, seq.pis):
-        _require_reversible(c, pi)
-    targets = [pi_state(pi) for pi in seq.pis]  # |sqrt(pi)> is the groundstate of H_c
+    seq.gaps  # NotErgodicError unless each |sqrt(pi)> is its chain Hamiltonian's unique groundstate
+    targets = [pi_state(c.pi) for c in seq.chains]
     if abs(abs(np.vdot(seed.amplitudes, targets[0].amplitudes)) - 1.0) > 1e-6:
         raise ValueError("seed state does not match |pi_0>")
     if len(targets) == 1:

@@ -134,18 +134,6 @@ def is_generator(g: int, p: int) -> bool:
     return _orbit_is_full(_power_table(g, p), p)
 
 
-def discrete_log(g: int, y: int, p: int) -> int:
-    """Brute-force referee: smallest x >= 1 with g^x = y mod p."""
-    x = 1
-    acc = g % p
-    while acc != y % p:
-        acc = acc * g % p
-        x += 1
-        if x > p:
-            raise ValueError("no discrete log found")
-    return x
-
-
 def units(nn: int) -> list[int]:
     return [x for x in range(1, nn) if math.gcd(x, nn) == 1]
 
@@ -235,9 +223,27 @@ def dlp_min_high_overlap(p: int) -> float:
     return worst
 
 
-def dlp_promise_holds(p: int, g: int, y: int) -> str | None:
-    """Referee: 'low', 'high', or None when the promise is violated."""
-    x = discrete_log(g, y, p)
+def dlp_logs(p: int, g: int) -> tuple[int, ...]:
+    """The referee's log table, built once per (p, g): logs[y] is the smallest x >= 1 with
+    g^x = y mod p, or 0 if there is none.
+
+    One walk g, g^2, ... until it repeats, independent of the decider's power table.
+    """
+    logs = [0] * p
+    acc, x = g % p, 1
+    while not logs[acc]:
+        logs[acc] = x
+        acc = acc * g % p
+        x += 1
+    return tuple(logs)
+
+
+def dlp_promise_holds(logs: tuple[int, ...], y: int) -> str | None:
+    """Referee: 'low', 'high', or None when the promise is violated; `logs` is `dlp_logs(p, g)`."""
+    p = len(logs)
+    x = logs[y % p]
+    if not x:
+        raise ValueError("no discrete log found")
     if 1 <= x <= int(DLP_PROMISE_FRACTION * p):
         return "low"
     if p // 2 + 1 <= x <= p // 2 + int(DLP_PROMISE_FRACTION * p):

@@ -4,8 +4,11 @@
 its adiabatic condition taken point by point, `perturbation_bound_pair` is the
 groundstate perturbation bound of one pair of matrices, `padded_chain_hamiltonian`
 embeds a chain Hamiltonian in power-of-two dimension,
-`direct_seed_amplitudes` writes the matchings seed state down directly, and
-`fidelity` is the classical fidelity that Qsample overlaps equal.
+`stationary` finds a transition matrix's stationary distribution by an SVD and
+`oracle_chain` builds a chain from a bare transition matrix with that
+distribution, `direct_seed_amplitudes` writes the matchings seed state down
+directly, `fidelity` is the classical fidelity that Qsample overlaps equal,
+and `discrete_log` walks g, g^2, ... until it meets y.
 `pieces_of` cuts a decomposition into its pieces, `piece_matrix` is a
 piece's dense matrix, and `piece_exponential` and `per_piece_trotter_step`
 apply a decomposition's Trotter product one piece at a time, copying the state
@@ -17,7 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from adiagen.adiabatic import CONDITION_GRID, ConditionReport, two_projector_gap_formula
-from adiagen.markov import MarkovChain, MatchingSpace, StationaryDistribution, _next_pow2, chain_hamiltonian
+from adiagen.markov import (
+    MarkovChain,
+    MatchingSpace,
+    NotErgodicError,
+    StationaryDistribution,
+    _next_pow2,
+    chain_hamiltonian,
+)
 from adiagen.qcore import DEGENERACY_TOL, DegenerateGroundstateError, DenseHermitian
 from adiagen.sparseham import Decomposition
 from adiagen.szk import OutputDistribution
@@ -69,12 +79,32 @@ def perturbation_bound_pair(H: DenseHermitian, J: DenseHermitian) -> tuple[float
     return lhs, 1.0 - 4.0 * float(np.linalg.norm(H.entries - J.entries, 2)) ** 2 / gap**2
 
 
-def padded_chain_hamiltonian(M: MarkovChain, pi: StationaryDistribution | None = None) -> DenseHermitian:
+def stationary(P: np.ndarray) -> StationaryDistribution:
+    """Left eigenvector of P for eigenvalue 1, via the null space of P^T - I."""
+    P = np.asarray(P, dtype=float)
+    _u, s, vh = np.linalg.svd(P.T - np.eye(P.shape[0]))
+    null_dim = int(np.sum(s < 1e-9))
+    if null_dim != 1:
+        raise NotErgodicError(f"eigenvalue-1 multiplicity {max(null_dim, 1)} != 1")
+    v = np.real(vh[-1])
+    if v.sum() < 0:
+        v = -v
+    if np.any(v < -1e-9):
+        raise NotErgodicError("stationary vector changes sign")
+    v = np.clip(v, 0.0, None)
+    return StationaryDistribution(v / v.sum())
+
+
+def oracle_chain(P) -> MarkovChain:
+    """The chain with transition matrix P and the SVD's stationary distribution."""
+    return MarkovChain(np.asarray(P, dtype=float), stationary(P))
+
+
+def padded_chain_hamiltonian(M: MarkovChain) -> DenseHermitian:
     """H_M embedded in power-of-two dimension; padding coordinates sit at PAD_ENERGY."""
-    H = chain_hamiltonian(M, pi)
-    N = H.dim
+    N = M.N
     out = np.eye(_next_pow2(N), dtype=complex) * PAD_ENERGY
-    out[:N, :N] = H.entries
+    out[:N, :N] = chain_hamiltonian(M)
     return DenseHermitian(out)
 
 
@@ -89,6 +119,18 @@ def fidelity(p: OutputDistribution, q: OutputDistribution) -> float:
     if p.m != q.m:
         raise ValueError("dimension mismatch")
     return float(np.sum(np.sqrt(p.probabilities * q.probabilities)))
+
+
+def discrete_log(g: int, y: int, p: int) -> int:
+    """Smallest x >= 1 with g^x = y mod p, one instance at a time."""
+    x = 1
+    acc = g % p
+    while acc != y % p:
+        acc = acc * g % p
+        x += 1
+        if x > p:
+            raise ValueError("no discrete log found")
+    return x
 
 
 class Piece(NamedTuple):

@@ -487,3 +487,13 @@ def test_markov_spectrum_makes_no_eigh_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", None)
     report = cli.run({"command": "markov-spectrum", "seed": 1, "trials": 50})
     assert report.ok
+
+
+def test_matchings_qsample_takes_one_eigvalsh_per_chain(monkeypatch):
+    calls = []
+    for op in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, op, lambda *a, _op=op, _f=getattr(np.linalg, op), **k:
+                            calls.append((_op, np.shape(a[0]))) or _f(*a, **k))
+    report = cli.run({"command": "matchings-qsample", "seed": 1, "n": 4})
+    assert report.ok
+    assert calls == [("eigvalsh", (120, 120))] * 21  # the default anneal: steps + 1 chains of 120 states

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from adiagen import cli, szk
 from adiagen.qcore import StateVector, state_overlap
-from dense_references import fidelity
+from dense_references import discrete_log, fidelity
 
 
 def random_circuit(n, m, rng):
@@ -173,7 +173,7 @@ class TestNumberTheoryReferees:
     def test_discrete_log_round_trip(self):
         p, g = 251, 6
         for x in (1, 7, 100, 200):
-            assert szk.discrete_log(g, pow(g, x, p), p) == x
+            assert discrete_log(g, pow(g, x, p), p) == x
 
     def test_residue_referee(self):
         squares = {y * y % 15 for y in szk.units(15)}
@@ -232,9 +232,25 @@ class TestDLP:
 
     def test_promise_referee(self):
         p, g = 251, 6
-        assert szk.dlp_promise_holds(p, g, pow(g, 3, p)) == "low"
-        assert szk.dlp_promise_holds(p, g, pow(g, p // 2 + 2, p)) == "high"
-        assert szk.dlp_promise_holds(p, g, pow(g, p // 3, p)) is None
+        logs = szk.dlp_logs(p, g)
+        assert szk.dlp_promise_holds(logs, pow(g, 3, p)) == "low"
+        assert szk.dlp_promise_holds(logs, pow(g, p // 2 + 2, p)) == "high"
+        assert szk.dlp_promise_holds(logs, pow(g, p // 3, p)) is None
+
+    @pytest.mark.parametrize("p, g", [(251, 6), (251, 2), (509, 2), (101, 1), (11, 0)])
+    def test_referee_table_matches_per_instance_walk(self, p, g):
+        # 2 has order 50 mod 251, so most y there have no log; 0 and 1 reach only themselves.
+        logs = szk.dlp_logs(p, g)
+        lo, hi = int(szk.DLP_PROMISE_FRACTION * p), p // 2 + int(szk.DLP_PROMISE_FRACTION * p)
+        for y in range(p):
+            try:
+                x = discrete_log(g, y, p)
+            except ValueError:
+                with pytest.raises(ValueError, match="no discrete log"):
+                    szk.dlp_promise_holds(logs, y)
+                continue
+            want = "low" if 1 <= x <= lo else "high" if p // 2 + 1 <= x <= hi else None
+            assert szk.dlp_promise_holds(logs, y) == want
 
 
 class TestQR:
