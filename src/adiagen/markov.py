@@ -20,6 +20,7 @@ from .qcore import DEGENERACY_TOL, NumericalError, StateVector, ground_state  # 
 # ground_state is no longer called here; perfbench's tracer test still reads markov.ground_state.
 
 SQRT_PI_TOL = 1e-8  # largest certified ||g - |sqrt(pi)>|| for the groundstate g of H_M
+VARIATION_THRESHOLD = 0.5  # largest variation distance ||pi_t - pi_{t+1}|| a Qsampled sequence may take
 
 
 class NotReversibleError(NumericalError, ValueError):
@@ -35,11 +36,11 @@ class MarkovChain:
     """A transition matrix and the distribution pi it satisfies detailed balance with.
 
     Detailed balance pi_i P_ij = pi_j P_ji, checked once here, makes pi
-    stationary; `chain_gap` certifies that it is the only stationary distribution.
+    stationary; `gap` certifies that it is the only stationary distribution.
     """
 
     transition: np.ndarray
-    pi: StationaryDistribution
+    pi: np.ndarray
 
     def __post_init__(self):
         M = np.asarray(self.transition, dtype=float)
@@ -53,8 +54,16 @@ class MarkovChain:
         rowsums = M.sum(axis=1)
         if np.max(np.abs(rowsums - 1.0)) > 1e-10:
             raise ValueError("rows must sum to 1")
-        if self.pi.pi.shape != (M.shape[0],):
-            raise ValueError(f"pi has shape {self.pi.pi.shape}, not one entry per state of {M.shape[0]}")
+        p = np.asarray(self.pi, dtype=float)
+        object.__setattr__(self, "pi", p)
+        if p.shape != (M.shape[0],):
+            raise ValueError(f"pi has shape {p.shape}, not one entry per state of {M.shape[0]}")
+        if not np.isfinite(p).all():
+            raise ValueError("pi has a NaN or infinite entry")
+        if np.any(p < -1e-12):
+            raise ValueError("negative probability in pi")
+        if abs(p.sum() - 1.0) > 1e-10:
+            raise ValueError("pi must sum to 1")
         if reversibility_residual(self) > 1e-8:
             raise NotReversibleError("chain is not reversible w.r.t. its stationary distribution")
 
@@ -62,51 +71,41 @@ class MarkovChain:
     def N(self) -> int:
         return self.transition.shape[0]
 
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    pi: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.pi, dtype=float)
-        object.__setattr__(self, "pi", p)
-        if not np.isfinite(p).all():
-            raise ValueError("distribution has a NaN or infinite entry")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError("distribution must sum to 1")
-        if np.any(p < -1e-12):
-            raise ValueError("negative probability")
-
-
-@dataclass(frozen=True)
-class ChainSequence:
-    chains: tuple[MarkovChain, ...]
-    variation_threshold: float = 1.0  # slow-variation bound on ||pi_t - pi_{t+1}||
-
-    def __post_init__(self):
-        Ns = {c.N for c in self.chains}
-        if len(Ns) > 1:
-            raise ValueError("all chains must share a state space")
-
     @cached_property
-    def gaps(self) -> tuple[float, ...]:
-        """Each chain Hamiltonian's certified spectral gap (`chain_gap`), computed on first use."""
-        return tuple(chain_gap(c) for c in self.chains)
+    def gap(self) -> float:
+        """H_M's gap lambda_1 - lambda_0, certified with one eigvalsh of the real symmetric H_M.
+
+        H_M's spectrum is 1 minus M's, so a gap above DEGENERACY_TOL means
+        eigenvalue 1 of M is simple and pi is its only stationary distribution;
+        `sqrt_pi_deviation` <= SQRT_PI_TOL means |sqrt(pi)> is H_M's groundstate.
+        Either failing raises NotErgodicError.  A one-state chain's gap is inf.
+        """
+        if not np.all(self.pi > 0):
+            raise NotErgodicError("a state has zero stationary mass")
+        H = chain_hamiltonian(self)
+        spectrum = np.linalg.eigvalsh(H)
+        gap = float(spectrum[1] - spectrum[0]) if self.N > 1 else math.inf
+        if not gap > DEGENERACY_TOL:
+            raise NotErgodicError(f"eigenvalue 1 is not simple: H_M's gap {gap:.3e} <= {DEGENERACY_TOL:.0e}")
+        deviation = sqrt_pi_deviation(H, self.pi, spectrum)
+        if not deviation <= SQRT_PI_TOL:
+            raise NotErgodicError(f"|sqrt(pi)> is not H_M's groundstate: deviation bound {deviation:.3e}")
+        return gap
 
 
 def reversibility_residual(M: MarkovChain) -> float:
-    flow = M.pi.pi[:, None] * M.transition
+    flow = M.pi[:, None] * M.transition
     return float(np.max(np.abs(flow - flow.T)))
 
 
 def chain_hamiltonian(M: MarkovChain) -> np.ndarray:
     """H_M = I - Diag(sqrt(pi)) M Diag(1/sqrt(pi)), real symmetric since M is reversible."""
-    sq = np.sqrt(M.pi.pi)
+    sq = np.sqrt(M.pi)
     H = np.eye(M.N) - (sq[:, None] * M.transition) / sq[None, :]
     return (H + H.T) / 2  # kill reversibility-residual asymmetry at round-off scale
 
 
-def sqrt_pi_deviation(H: np.ndarray, pi: StationaryDistribution, spectrum: np.ndarray) -> float:
+def sqrt_pi_deviation(H: np.ndarray, pi: np.ndarray, spectrum: np.ndarray) -> float:
     """Bound on ||g - |sqrt(pi)>|| for the phase-aligned groundstate g of H; inf if there is none.
 
     `spectrum` is H's ascending eigvalsh spectrum; no eigenvector is computed.
@@ -116,7 +115,7 @@ def sqrt_pi_deviation(H: np.ndarray, pi: StationaryDistribution, spectrum: np.nd
     2 sin(angle/2) is then at most 2 sin(asin(s)/2), which equals s to
     round-off for s below 1e-8.
     """
-    v = np.sqrt(pi.pi)
+    v = np.sqrt(pi)
     v = v / np.linalg.norm(v)
     Hv = H @ v
     theta = float(np.vdot(v, Hv).real)
@@ -127,37 +126,16 @@ def sqrt_pi_deviation(H: np.ndarray, pi: StationaryDistribution, spectrum: np.nd
     return 2 * math.sin(math.asin(s) / 2) if s < 1 else math.inf
 
 
-def chain_gap(M: MarkovChain) -> float:
-    """H_M's gap lambda_1 - lambda_0, certified with one eigvalsh of the real symmetric H_M.
-
-    H_M's spectrum is 1 minus M's, so a gap above DEGENERACY_TOL means
-    eigenvalue 1 of M is simple and pi is its only stationary distribution;
-    `sqrt_pi_deviation` <= SQRT_PI_TOL means |sqrt(pi)> is H_M's groundstate.
-    Either failing raises NotErgodicError.  A one-state chain's gap is inf.
-    """
-    if not np.all(M.pi.pi > 0):
-        raise NotErgodicError("a state has zero stationary mass")
-    H = chain_hamiltonian(M)
-    spectrum = np.linalg.eigvalsh(H)
-    gap = float(spectrum[1] - spectrum[0]) if M.N > 1 else math.inf
-    if not gap > DEGENERACY_TOL:
-        raise NotErgodicError(f"eigenvalue 1 is not simple: H_M's gap {gap:.3e} <= {DEGENERACY_TOL:.0e}")
-    deviation = sqrt_pi_deviation(H, M.pi, spectrum)
-    if not deviation <= SQRT_PI_TOL:
-        raise NotErgodicError(f"|sqrt(pi)> is not H_M's groundstate: deviation bound {deviation:.3e}")
-    return gap
+def _padded_state(amps: np.ndarray) -> StateVector:
+    """The normalised state of `amps`, zero-padded to the next power-of-two dimension."""
+    padded = np.zeros(1 << max(0, (amps.size - 1).bit_length()), dtype=complex)
+    padded[: amps.size] = amps
+    return StateVector.from_amplitudes(padded)
 
 
-def _next_pow2(N: int) -> int:
-    return 1 << max(0, (N - 1).bit_length())
-
-
-def pi_state(pi: StationaryDistribution) -> StateVector:
+def pi_state(pi: np.ndarray) -> StateVector:
     """sum_i sqrt(pi_i) |i>, zero-padded to the next power-of-two dimension."""
-    N = pi.pi.size
-    amps = np.zeros(_next_pow2(N), dtype=complex)
-    amps[:N] = np.sqrt(pi.pi)
-    return StateVector.from_amplitudes(amps)
+    return _padded_state(np.sqrt(pi))
 
 
 def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]]) -> MarkovChain:
@@ -195,54 +173,48 @@ def metropolis_chain(weights: Sequence[float], neighbors: Sequence[Sequence[int]
     np.add.at(P, (src, dst), (1.0 / deg) * np.minimum(1.0, w[dst] / w[src]))
     P[np.diag_indices(N)] += 1.0 - P.sum(axis=1)
     P = 0.5 * np.eye(N) + 0.5 * P
-    return MarkovChain(transition=P, pi=StationaryDistribution(w / w.sum()))
+    return MarkovChain(transition=P, pi=w / w.sum())
 
 
 def variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(p - q)))
 
 
-def check_slowly_varying(seq: ChainSequence) -> tuple[int, ...]:
-    """The steps t whose variation distance ||pi_t - pi_{t+1}|| exceeds the sequence's threshold.
+def check_slowly_varying(chains: Sequence[MarkovChain]) -> tuple[int, ...]:
+    """The steps t whose variation distance ||pi_t - pi_{t+1}|| exceeds VARIATION_THRESHOLD.
 
     Each step's fidelity <pi_t|pi_{t+1}> (the groundstate overlap) is checked
     against its lower bound 1 - distance.
     """
-    pis = [c.pi.pi for c in seq.chains]
+    pis = [c.pi for c in chains]
     violations = []
     for t in range(len(pis) - 1):
         d = variation_distance(pis[t], pis[t + 1])
         f = float(np.sum(np.sqrt(pis[t] * pis[t + 1])))
-        if d > seq.variation_threshold:
+        if d > VARIATION_THRESHOLD:
             violations.append(t)
         if f < 1.0 - d - 1e-9:
             raise AssertionError(f"fidelity bound violated at step {t}: F={f}, dist={d}")
     return tuple(violations)
 
 
-def qsample_sequence(seq: ChainSequence, seed: StateVector, mode: str = "zeno",
-                     R: int = 500, eps: float = 0.01, delta: float = 0.1) -> adiabatic.EvolutionReport:
-    """Drive |pi_0> to |pi_T> along the jagged path of the chain Hamiltonians."""
-    violations = check_slowly_varying(seq)
+def qsample_sequence(chains: Sequence[MarkovChain], seed: StateVector, R: int) -> adiabatic.EvolutionReport:
+    """Drive |pi_0> to |pi_T> by R Zeno measurements per segment of the chains' jagged path."""
+    if len({c.N for c in chains}) > 1:
+        raise ValueError("all chains must share a state space")
+    violations = check_slowly_varying(chains)
     if violations:
         raise ValueError(f"sequence is not slowly varying at steps {violations}")
-    seq.gaps  # NotErgodicError unless each |sqrt(pi)> is its chain Hamiltonian's unique groundstate
-    targets = [pi_state(c.pi) for c in seq.chains]
+    for c in chains:
+        c.gap  # NotErgodicError unless each |sqrt(pi)> is its chain Hamiltonian's unique groundstate
+    targets = [pi_state(c.pi) for c in chains]
     if abs(abs(np.vdot(seed.amplitudes, targets[0].amplitudes)) - 1.0) > 1e-6:
         raise ValueError("seed state does not match |pi_0>")
     if len(targets) == 1:
         return adiabatic.EvolutionReport(
             final_state=seed, success_probability=1.0,
             per_step_overlaps=np.ones(1))
-    path = adiabatic.jagged_path(targets)
-    if mode == "zeno":
-        return adiabatic.zeno_evolve(path, R)
-    if mode == "schrodinger":
-        if not eps > 0:
-            raise ValueError("eps must be positive")
-        T = max(1.0, adiabatic.check_adiabatic_condition(path).max_ratio / eps)
-        return adiabatic.evolve_discretized(path, T, delta, targets[0])
-    raise ValueError(f"unknown mode {mode!r}")
+    return adiabatic.zeno_evolve(adiabatic.jagged_path(targets), R)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +226,6 @@ MAX_MATCHING_N = 4
 @dataclass(frozen=True)
 class MatchingSpace:
     n: int
-    target_edges: frozenset
     states: tuple
     index: dict
 
@@ -269,12 +240,10 @@ class MatchingSpace:
         return [i for i, m in enumerate(self.states) if self.is_perfect(m)]
 
 
-def matchings_space(n: int, target_edges=None) -> MatchingSpace:
+def matchings_space(n: int) -> MatchingSpace:
     """All matchings of K_{n,n} with n or n-1 edges, in a stable order."""
     if n < 1 or n > MAX_MATCHING_N:
         raise ValueError(f"n must be in [1, {MAX_MATCHING_N}]")
-    if target_edges is None:
-        target_edges = {(u, v) for u in range(n) for v in range(n)}
     states = []
     # Perfect matchings: one per permutation.
     for perm in itertools.permutations(range(n)):
@@ -287,12 +256,7 @@ def matchings_space(n: int, target_edges=None) -> MatchingSpace:
             for perm in itertools.permutations(rights):
                 states.append(frozenset(zip(lefts, perm)))
     states = tuple(dict.fromkeys(states))  # dedupe (n=1 empty matching repeats), keep order
-    return MatchingSpace(
-        n=n,
-        target_edges=frozenset(target_edges),
-        states=states,
-        index={m: i for i, m in enumerate(states)},
-    )
+    return MatchingSpace(n=n, states=states, index={m: i for i, m in enumerate(states)})
 
 
 def matching_neighbors(space: MatchingSpace) -> list[list[int]]:
@@ -317,13 +281,6 @@ def matching_neighbors(space: MatchingSpace) -> list[list[int]]:
     return out
 
 
-def matching_weight(space: MatchingSpace, m, activity: float) -> float:
-    """n^{[near-perfect]} * activity^{#edges outside the target graph}."""
-    off = sum(1 for e in m if e not in space.target_edges)
-    base = float(space.n) if not space.is_perfect(m) else 1.0
-    return base * activity**off
-
-
 def matchings_seed_qsample(n: int) -> tuple[StateVector, MatchingSpace]:
     """Seed state built by the three-register procedure, padded to 2^k.
 
@@ -342,26 +299,32 @@ def matchings_seed_qsample(n: int) -> tuple[StateVector, MatchingSpace]:
         # i > 0: remove the i-th edge (ordered by left vertex).
         for u, v in sorted(m):
             amps[space.index[m - {(u, v)}]] += perm_amp * (math.sqrt(n) / idx_norm)
-    padded = np.zeros(_next_pow2(space.N), dtype=complex)
-    padded[: space.N] = amps
-    return StateVector.from_amplitudes(padded), space
+    return _padded_state(amps), space
 
 
-def anneal_weights_sequence(n: int, target_edges, steps: int, ratio: float) -> tuple[ChainSequence, MatchingSpace]:
-    """Metropolis chains with the non-target edge activity decaying geometrically."""
+def anneal_weights_sequence(space: MatchingSpace, target_edges, steps: int, ratio: float) -> tuple[MarkovChain, ...]:
+    """Metropolis chains on `space` for k = 0..steps, with the weight of a matching
+    n^{[near-perfect]} * (ratio^k)^{#edges outside the target graph}."""
     if not 0 < ratio < 1:
         raise ValueError("ratio must be in (0, 1)")
-    space = matchings_space(n, target_edges)
-    if not any(all(e in space.target_edges for e in space.states[i])
-               for i in space.perfect_indices()):
+    target = frozenset(target_edges)
+    if not any(space.states[i] <= target for i in space.perfect_indices()):
         raise ValueError("target graph has no perfect matching")
-    neighbors = matching_neighbors(space)
-    chains = []
-    for k in range(steps + 1):
+    off = np.array([len(m - target) for m in space.states])
+    base = np.array([1.0 if space.is_perfect(m) else float(space.n) for m in space.states])
+
+    def weights(k: int) -> np.ndarray:
+        # Python's float pow, not numpy's array power: with AVX-512 they can differ in the last bit
         activity = ratio**k
-        w = [matching_weight(space, m, activity) for m in space.states]
-        chains.append(metropolis_chain(w, neighbors))
-    return ChainSequence(chains=tuple(chains), variation_threshold=0.5), space
+        return base * np.array([activity**j for j in range(space.n + 1)])[off]
+
+    # The weights fall with k and every ratio that can overflow grows, so the last step is the one to check
+    last = weights(steps)
+    if not (last.min() >= np.finfo(float).tiny and float(last.max()) / float(last.min()) < math.inf):
+        raise ValueError(f"steps {steps} at ratio {ratio} takes a weight below the normal float range, "
+                         f"or the ratio of two weights past it")
+    neighbors = matching_neighbors(space)
+    return tuple(metropolis_chain(weights(k), neighbors) for k in range(steps + 1))
 
 
 def project_perfect(state: StateVector, space: MatchingSpace) -> tuple[StateVector, float]:

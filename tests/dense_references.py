@@ -24,8 +24,6 @@ from adiagen.markov import (
     MarkovChain,
     MatchingSpace,
     NotErgodicError,
-    StationaryDistribution,
-    _next_pow2,
     chain_hamiltonian,
 )
 from adiagen.qcore import DEGENERACY_TOL, DegenerateGroundstateError, DenseHermitian
@@ -79,7 +77,7 @@ def perturbation_bound_pair(H: DenseHermitian, J: DenseHermitian) -> tuple[float
     return lhs, 1.0 - 4.0 * float(np.linalg.norm(H.entries - J.entries, 2)) ** 2 / gap**2
 
 
-def stationary(P: np.ndarray) -> StationaryDistribution:
+def stationary(P: np.ndarray) -> np.ndarray:
     """Left eigenvector of P for eigenvalue 1, via the null space of P^T - I."""
     P = np.asarray(P, dtype=float)
     _u, s, vh = np.linalg.svd(P.T - np.eye(P.shape[0]))
@@ -92,7 +90,7 @@ def stationary(P: np.ndarray) -> StationaryDistribution:
     if np.any(v < -1e-9):
         raise NotErgodicError("stationary vector changes sign")
     v = np.clip(v, 0.0, None)
-    return StationaryDistribution(v / v.sum())
+    return v / v.sum()
 
 
 def oracle_chain(P) -> MarkovChain:
@@ -103,7 +101,7 @@ def oracle_chain(P) -> MarkovChain:
 def padded_chain_hamiltonian(M: MarkovChain) -> DenseHermitian:
     """H_M embedded in power-of-two dimension; padding coordinates sit at PAD_ENERGY."""
     N = M.N
-    out = np.eye(_next_pow2(N), dtype=complex) * PAD_ENERGY
+    out = np.eye(1 << max(0, (N - 1).bit_length()), dtype=complex) * PAD_ENERGY
     out[:N, :N] = chain_hamiltonian(M)
     return DenseHermitian(out)
 

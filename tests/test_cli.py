@@ -193,6 +193,14 @@ REJECTED = {
     "zeno-R-sweep-empty": (["zeno-run"], {"R_sweep": []}, None, 2, "R_sweep must be"),
     "qsample-R-0": (["matchings-qsample", "--R", "0"], None, None, 2, "R must be >= 1, got 0"),
     "qsample-steps-negative": (["matchings-qsample", "--steps", "-1"], None, None, 2, "steps must be"),
+    "qsample-steps-past-the-budget": (["matchings-qsample", "--n", "2", "--steps", "2100"], None, None, 2,
+                                      "steps must be in [0, 1000], got 2100"),
+    # 0.001^103 = 1e-309 is subnormal; at the parent, metropolis_chain's w[dst] / w[src] overflowed
+    "qsample-weight-subnormal": (["matchings-qsample", "--ratio", "0.001", "--steps", "103"], None, None, 2,
+                                 "steps 103 at ratio 0.001 takes a weight below the normal float range"),
+    # 0.25^511 = 2^-1022 is the smallest normal float, and a neighbour's weight 4 / 2^-1022 overflows
+    "qsample-weight-ratio-overflow": (["matchings-qsample", "--n", "4", "--ratio", "0.25", "--steps", "511"], None,
+                                      None, 2, "steps 511 at ratio 0.25"),
     "adiabatic-eps-0": (["adiabatic-run", "--eps", "0"], None, None, 2, "eps must be positive, got 0.0"),
     "markov-max-states-2": (["markov-spectrum", "--max-states", "2"], None, None, 2, "max_states"),
     # N = 4107 would pass the draw and fail only at the chain Hamiltonian, after seconds of work
@@ -253,6 +261,14 @@ def test_trial_count_above_the_budget_rejected(command, key, monkeypatch, capsys
     assert cli.main([command, f"--{key}", "4", "--seed", "1"]) == 2
     assert capsys.readouterr().err == f"config error: {key} must be in [1, 3], got 4\n"
     assert cli.main([command, f"--{key}", "3", "--seed", "1"]) == 0
+
+
+def test_anneal_steps_above_the_budget_rejected(monkeypatch, capsys):
+    """Checked against a budget of 3, so that a missing check builds 5 chains rather than 1001."""
+    monkeypatch.setattr(cli, "_MAX_ANNEAL_STEPS", 3)
+    assert cli.main(["matchings-qsample", "--steps", "4", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "config error: steps must be in [0, 3], got 4\n"
+    assert cli.main(["matchings-qsample", "--steps", "3", "--seed", "1"]) == 0
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

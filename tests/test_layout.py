@@ -22,8 +22,6 @@ UNPASSED_DEFAULT = {
     "main.argv": "the console entry point reads sys.argv; tests pass argv",
     "projector_hamiltonian_sim.b": "phase-estimation group: waits for the Markov route built from e^{-iH_M t} "
                                    "(ROADMAP item 2)",
-    **dict.fromkeys(("qsample_sequence.eps", "qsample_sequence.delta"),
-                    "the Schrodinger route of qsample_sequence; matchings-qsample runs the Zeno route"),
 }
 
 

@@ -28,13 +28,13 @@ def power_iteration_stationary(M, iters=20_000):
 class TestStationary:
     def test_symmetric_is_uniform(self):
         P = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
-        assert np.allclose(stationary(P).pi, 1 / 3)
+        assert np.allclose(stationary(P), 1 / 3)
 
     def test_two_state_chain(self):
-        assert np.allclose(stationary(TWO_STATE.transition).pi, [2 / 3, 1 / 3], atol=1e-12)
+        assert np.allclose(stationary(TWO_STATE.transition), [2 / 3, 1 / 3], atol=1e-12)
 
     def test_matches_power_iteration(self):
-        pi = stationary(THREE_STATE.transition).pi
+        pi = stationary(THREE_STATE.transition)
         assert np.allclose(pi, power_iteration_stationary(THREE_STATE.transition), atol=1e-8)
 
     def test_reducible_chain_rejected(self):
@@ -80,7 +80,7 @@ class TestSqrtPiDeviation:
     def test_bounds_the_dense_groundstate_deviation(self, instance):
         _, pi, H, spectrum = instance
         _, g = ground_state(DenseHermitian(H))
-        dense = float(np.max(np.abs(np.abs(g.amplitudes) - np.sqrt(pi.pi))))
+        dense = float(np.max(np.abs(np.abs(g.amplitudes) - np.sqrt(pi))))
         assert dense - 1e-12 <= markov.sqrt_pi_deviation(H, pi, spectrum) <= 1e-8
 
     @settings(max_examples=50, deadline=None)
@@ -94,15 +94,15 @@ class TestSqrtPiDeviation:
     @given(reversible_chains(), st.integers(0, 2**32 - 1))
     def test_perturbed_sqrt_pi_is_flagged(self, instance, seed):
         _, pi, H, spectrum = instance
-        v = np.sqrt(pi.pi)
+        v = np.sqrt(pi)
         w = np.random.default_rng(seed).normal(size=v.size)
         w -= np.dot(w, v) / np.dot(v, v) * v
         u = v + 1e-6 * w / np.linalg.norm(w)
-        perturbed = markov.StationaryDistribution(u**2 / np.sum(u**2))
+        perturbed = u**2 / np.sum(u**2)
         bound = markov.sqrt_pi_deviation(H, perturbed, spectrum)
         _, g = ground_state(DenseHermitian(H))
-        ov = np.vdot(g.amplitudes, np.sqrt(perturbed.pi))
-        assert bound >= np.linalg.norm(ov / abs(ov) * g.amplitudes - np.sqrt(perturbed.pi)) - 1e-12
+        ov = np.vdot(g.amplitudes, np.sqrt(perturbed))
+        assert bound >= np.linalg.norm(ov / abs(ov) * g.amplitudes - np.sqrt(perturbed)) - 1e-12
         assert bound > 1e-8
 
     def test_one_state_chain(self):
@@ -118,15 +118,14 @@ class TestClosedFormPi:
     @given(st.integers(1, 32), st.integers(0, 2**32 - 1))
     def test_random_chain_matches_the_oracle(self, N, seed):
         chain = cli._random_reversible_chain(N, np.random.default_rng(seed))
-        assert np.max(np.abs(chain.pi.pi - stationary(chain.transition).pi)) <= 1e-12
+        assert np.max(np.abs(chain.pi - stationary(chain.transition))) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 20))
     def test_anneal_chain_matches_the_oracle(self, n, k):
         target = {(u, v) for u in range(n) for v in range(n)} - {(0, 0)}
-        seq, _ = markov.anneal_weights_sequence(n, target, 20, 0.7)
-        chain = seq.chains[k]
-        assert np.max(np.abs(chain.pi.pi - stationary(chain.transition).pi)) <= 1e-12
+        chain = markov.anneal_weights_sequence(markov.matchings_space(n), target, 20, 0.7)[k]
+        assert np.max(np.abs(chain.pi - stationary(chain.transition))) <= 1e-12
 
 
 class TestCertificate:
@@ -135,36 +134,35 @@ class TestCertificate:
         # detailed-balance tolerance, so the chain is built; the certificate then refuses it.
         eps = 1e-6
         P = np.array([[1 - eps, eps], [eps, 1 - eps]])
-        chain = markov.MarkovChain(P, markov.StationaryDistribution([0.501, 0.499]))
+        chain = markov.MarkovChain(P, [0.501, 0.499])
         with pytest.raises(markov.NotErgodicError, match="not H_M's groundstate"):
-            markov.chain_gap(chain)
-        assert markov.chain_gap(oracle_chain(P)) == pytest.approx(2 * eps, rel=1e-6)
+            chain.gap
+        assert oracle_chain(P).gap == pytest.approx(2 * eps, rel=1e-6)
 
     def test_reducible_chain_raises_not_ergodic(self):
         lazy = np.array([[0.5, 0.5], [0.5, 0.5]])
         P = np.block([[lazy, np.zeros((2, 2))], [np.zeros((2, 2)), lazy]])
-        chain = markov.MarkovChain(P, markov.StationaryDistribution(np.full(4, 0.25)))
+        chain = markov.MarkovChain(P, np.full(4, 0.25))
         with pytest.raises(markov.NotErgodicError, match="not simple"):
-            markov.chain_gap(chain)
-        seq = markov.ChainSequence(chains=(chain, chain))
+            chain.gap
         with pytest.raises(markov.NotErgodicError):
-            markov.qsample_sequence(seq, markov.pi_state(chain.pi))
+            markov.qsample_sequence((chain, chain), markov.pi_state(chain.pi), 5)
 
     def test_zero_stationary_mass_raises_not_ergodic(self):
-        chain = markov.MarkovChain(np.array([[1.0, 0.0], [0.5, 0.5]]), markov.StationaryDistribution([1.0, 0.0]))
+        chain = markov.MarkovChain(np.array([[1.0, 0.0], [0.5, 0.5]]), [1.0, 0.0])
         with pytest.raises(markov.NotErgodicError, match="zero stationary mass"):
-            markov.chain_gap(chain)
+            chain.gap
 
     def test_one_state_chain_has_infinite_gap(self):
-        assert markov.chain_gap(markov.metropolis_chain([2.0], [[]])) == math.inf
+        assert markov.metropolis_chain([2.0], [[]]).gap == math.inf
 
     @pytest.mark.parametrize("n, want", [(2, 0.2500), (3, 0.1520), (4, 0.1180)])
     def test_min_chain_gap_matches_dense_eigvalsh(self, n, want):
         report = cli.run({"command": "matchings-qsample", "seed": 1, "n": n})
-        seq, _ = markov.anneal_weights_sequence(
-            n, {(u, v) for u in range(n) for v in range(n)} - {(0, 0)}, 20, 0.7)
+        chains = markov.anneal_weights_sequence(
+            markov.matchings_space(n), {(u, v) for u in range(n) for v in range(n)} - {(0, 0)}, 20, 0.7)
         dense = min(float(spectral_gap(DenseHermitian(markov.chain_hamiltonian(oracle_chain(c.transition)))))
-                    for c in seq.chains)
+                    for c in chains)
         assert report.scalars["min_chain_gap"] == pytest.approx(dense, abs=1e-12)
         assert report.scalars["min_chain_gap"] == pytest.approx(want, abs=5e-5)
 
@@ -172,11 +170,18 @@ class TestCertificate:
 class TestNonFiniteInputs:
     def test_nan_transition_rejected(self):
         with pytest.raises(ValueError, match="NaN or infinite"):
-            markov.MarkovChain(np.array([[np.nan, 0.5], [0.5, 0.5]]), markov.StationaryDistribution([0.5, 0.5]))
+            markov.MarkovChain(np.array([[np.nan, 0.5], [0.5, 0.5]]), [0.5, 0.5])
 
     def test_nan_distribution_rejected(self):
         with pytest.raises(ValueError, match="NaN or infinite"):
-            markov.StationaryDistribution([np.nan, 0.5])
+            markov.MarkovChain(np.full((2, 2), 0.5), [np.nan, 0.5])
+
+    @pytest.mark.parametrize("pi, named", [([1.5, -0.5], "negative probability"), ([0.5, 0.6], "must sum to 1"),
+                                           ([1.0], "one entry per state"), ([[0.5, 0.5]], "one entry per state")],
+                             ids=["negative", "sum", "length", "2-d"])
+    def test_bad_distribution_rejected(self, pi, named):
+        with pytest.raises(ValueError, match=named):
+            markov.MarkovChain(np.full((2, 2), 0.5), pi)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, bad):
@@ -196,15 +201,15 @@ class TestSecondGap:
 
 class TestPiState:
     def test_point_mass(self):
-        s = markov.pi_state(markov.StationaryDistribution(np.array([0.0, 1.0])))
+        s = markov.pi_state(np.array([0.0, 1.0]))
         assert np.allclose(s.amplitudes, [0, 1])
 
     def test_uniform(self):
-        s = markov.pi_state(markov.StationaryDistribution(np.full(4, 0.25)))
+        s = markov.pi_state(np.full(4, 0.25))
         assert np.allclose(s.amplitudes, 0.5)
 
     def test_pads_to_power_of_two(self):
-        s = markov.pi_state(markov.StationaryDistribution(np.full(3, 1 / 3)))
+        s = markov.pi_state(np.full(3, 1 / 3))
         assert s.dim == 4
         assert s.amplitudes[3] == 0
 
@@ -219,8 +224,8 @@ class TestMetropolis:
         nb = [[1], [0, 2], [1]]
         M = markov.metropolis_chain([1.0, 1.0, 1.0], nb)
         assert np.allclose(M.transition, M.transition.T, atol=1e-12)
-        assert np.allclose(stationary(M.transition).pi, 1 / 3, atol=1e-10)
-        assert np.allclose(M.pi.pi, 1 / 3, atol=1e-15)
+        assert np.allclose(stationary(M.transition), 1 / 3, atol=1e-10)
+        assert np.allclose(M.pi, 1 / 3, atol=1e-15)
 
     def test_detailed_balance(self):
         nb = [[1, 2], [0, 2], [0, 1]]
@@ -232,8 +237,8 @@ class TestMetropolis:
         w = [1.0, 2.0, 3.0, 2.0, 1.0]
         nb = [[1], [0, 2], [1, 3], [2, 4], [3]]
         M = markov.metropolis_chain(w, nb)
-        assert np.allclose(stationary(M.transition).pi, np.array(w) / sum(w), atol=1e-9)
-        assert np.allclose(M.pi.pi, np.array(w) / sum(w), atol=1e-15)
+        assert np.allclose(stationary(M.transition), np.array(w) / sum(w), atol=1e-9)
+        assert np.allclose(M.pi, np.array(w) / sum(w), atol=1e-15)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -254,6 +259,13 @@ def loop_metropolis_chain(w, neighbors):
             P[i, j] += (1.0 / deg) * min(1.0, w[j] / w[i])
         P[i, i] += 1.0 - P[i].sum()
     return 0.5 * np.eye(N) + 0.5 * P
+
+
+def matching_weight(space, target, m, activity):
+    """n^{[near-perfect]} * activity^{#edges outside the target graph}, one matching at a time."""
+    off = sum(1 for e in m if e not in target)
+    base = float(space.n) if not space.is_perfect(m) else 1.0
+    return base * activity**off
 
 
 def loop_random_reversible_chain(N, rng):
@@ -286,11 +298,27 @@ class TestChainsFromArrays:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_anneal_sequence(self, n):
         target = {(u, v) for u in range(n) for v in range(n)} - {(0, 0)}
-        seq, space = markov.anneal_weights_sequence(n, target, 20, 0.7)
+        space = markov.matchings_space(n)
         neighbors = markov.matching_neighbors(space)
-        for k, chain in enumerate(seq.chains):
-            w = [markov.matching_weight(space, m, 0.7**k) for m in space.states]
+        for k, chain in enumerate(markov.anneal_weights_sequence(space, target, 20, 0.7)):
+            w = [matching_weight(space, target, m, 0.7**k) for m in space.states]
             assert np.array_equal(chain.transition, loop_metropolis_chain(w, neighbors))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("target", ["one edge removed", "a cycle and the diagonal"])
+    def test_anneal_weights_match_the_per_state_formula(self, n, target, monkeypatch):
+        """Bit for bit, also where a matching has several edges outside the target graph."""
+        if target == "one edge removed":
+            target = {(u, v) for u in range(n) for v in range(n)} - {(0, 0)}
+        else:
+            target = {(u, u) for u in range(n)} | {(u, (u + 1) % n) for u in range(n)}
+        space = markov.matchings_space(n)
+        seen = []
+        monkeypatch.setattr(markov, "metropolis_chain", lambda w, neighbors: seen.append(w))
+        markov.anneal_weights_sequence(space, target, 400, 0.7)
+        assert len(seen) == 401
+        for k, w in enumerate(seen):
+            assert np.array_equal(w, [matching_weight(space, target, m, 0.7**k) for m in space.states])
 
     def test_repeated_neighbour_counts_twice(self):
         nb = [[1, 1, 2], [0, 0], [0]]
@@ -300,28 +328,26 @@ class TestChainsFromArrays:
 
 class TestSlowVariation:
     def test_constant_sequence(self):
-        seq = markov.ChainSequence(chains=(TWO_STATE, TWO_STATE, TWO_STATE), variation_threshold=0.0)
-        assert markov.check_slowly_varying(seq) == ()
+        assert markov.check_slowly_varying((TWO_STATE, TWO_STATE, TWO_STATE)) == ()
 
     def test_fidelity_lower_bound(self, monkeypatch):
-        seq, _ = markov.anneal_weights_sequence(2, {(0, 1), (1, 0), (1, 1)}, 10, 0.7)
-        assert markov.check_slowly_varying(seq) == ()
+        chains = markov.anneal_weights_sequence(markov.matchings_space(2), {(0, 1), (1, 0), (1, 1)}, 10, 0.7)
+        assert markov.check_slowly_varying(chains) == ()
         # A distance of 0 hides each step's change, so every fidelity falls below 1 - distance.
         monkeypatch.setattr(markov, "variation_distance", lambda p, q: 0.0)
         with pytest.raises(AssertionError, match="fidelity bound violated at step 0"):
-            markov.check_slowly_varying(seq)
+            markov.check_slowly_varying(chains)
 
     def test_threshold_violation_reported(self):
-        far = oracle_chain([[0.5, 0.5], [0.1, 0.9]])
-        seq = markov.ChainSequence(chains=(TWO_STATE, far, far, TWO_STATE), variation_threshold=0.01)
-        assert markov.check_slowly_varying(seq) == (0, 2)
+        far = oracle_chain([[0.1, 0.9], [0.01, 0.99]])  # pi = (1, 90) / 91, at distance 0.66 from TWO_STATE's
+        assert markov.variation_distance(TWO_STATE.pi, far.pi) > markov.VARIATION_THRESHOLD
+        assert markov.check_slowly_varying((TWO_STATE, far, far, TWO_STATE)) == (0, 2)
 
 
 class TestQsampleSequence:
     def test_single_chain_returns_seed(self):
         seed = markov.pi_state(TWO_STATE.pi)
-        seq = markov.ChainSequence(chains=(TWO_STATE,))
-        rep = markov.qsample_sequence(seq, seed)
+        rep = markov.qsample_sequence((TWO_STATE,), seed, 500)
         assert rep.success_probability == pytest.approx(1.0)
         assert np.array_equal(rep.final_state.amplitudes, seed.amplitudes)
 
@@ -329,9 +355,8 @@ class TestQsampleSequence:
         base = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0])
         nb = [[j for j in range(8) if j != i] for i in range(8)]
         chains = tuple(markov.metropolis_chain(base**(k / 2), nb) for k in range(3))
-        seq = markov.ChainSequence(chains=chains, variation_threshold=0.6)
         seed = markov.pi_state(chains[0].pi)
-        rep = markov.qsample_sequence(seq, seed, mode="zeno", R=500)
+        rep = markov.qsample_sequence(chains, seed, 500)
         target = markov.pi_state(stationary(chains[-1].transition))
         assert abs(state_overlap(rep.final_state, target)) >= 0.99
 
@@ -339,16 +364,18 @@ class TestQsampleSequence:
         base = np.array([1.0, 2.0, 1.0, 2.0])
         nb = [[j for j in range(4) if j != i] for i in range(4)]
         chains = tuple(markov.metropolis_chain(base**(k / 2), nb) for k in range(2))
-        seq = markov.ChainSequence(chains=chains, variation_threshold=0.6)
         seed = markov.pi_state(chains[0].pi)
-        rep = markov.qsample_sequence(seq, seed, mode="zeno", R=50)
+        rep = markov.qsample_sequence(chains, seed, 50)
         assert rep.success_probability == pytest.approx(
             float(np.prod(rep.per_step_overlaps)), rel=1e-12)
 
     def test_wrong_seed_rejected(self):
-        seq = markov.ChainSequence(chains=(TWO_STATE, TWO_STATE))
-        with pytest.raises(ValueError):
-            markov.qsample_sequence(seq, StateVector.basis(2, 1))
+        with pytest.raises(ValueError, match="seed state does not match"):
+            markov.qsample_sequence((TWO_STATE, TWO_STATE), StateVector.basis(2, 1), 500)
+
+    def test_chains_on_different_state_spaces_rejected(self):
+        with pytest.raises(ValueError, match="share a state space"):
+            markov.qsample_sequence((TWO_STATE, THREE_STATE), markov.pi_state(TWO_STATE.pi), 500)
 
     def test_non_reversible_chain_rejected(self):
         # Doubly stochastic with a drift around the cycle: pi is uniform, flows are not symmetric,
@@ -359,41 +386,31 @@ class TestQsampleSequence:
     @pytest.mark.parametrize("n, target", [(2, {(0, 1), (1, 0), (1, 1)}),
                                            (3, {(u, v) for u in range(3) for v in range(3)} - {(0, 0)})])
     def test_targets_are_chain_groundstates(self, monkeypatch, n, target):
-        seq, _ = markov.anneal_weights_sequence(n, target, 6, 0.7)
-        seed, _ = markov.matchings_seed_qsample(n)
+        seed, space = markov.matchings_seed_qsample(n)
+        chains = markov.anneal_weights_sequence(space, target, 6, 0.7)
         seen = []
         jagged_path = markov.adiabatic.jagged_path
         monkeypatch.setattr(markov.adiabatic, "jagged_path",
                             lambda states: seen.append(states) or jagged_path(states))
-        markov.qsample_sequence(seq, seed, mode="zeno", R=5)
+        markov.qsample_sequence(chains, seed, 5)
         (targets,) = seen
-        assert len(targets) == len(seq.chains)
-        for c, got in zip(seq.chains, targets):
+        assert len(targets) == len(chains)
+        for c, got in zip(chains, targets):
             _, want = ground_state(padded_chain_hamiltonian(c))
             phase = np.vdot(got.amplitudes, want.amplitudes)
             assert abs(abs(phase) - 1.0) <= 1e-10
             assert np.max(np.abs(want.amplitudes - phase * got.amplitudes)) <= 1e-10
 
-    def test_schrodinger_mode_checks_the_condition_once(self, monkeypatch):
-        seq, _ = markov.anneal_weights_sequence(2, {(0, 1), (1, 0), (1, 1)}, 3, 0.7)
-        seed, _ = markov.matchings_seed_qsample(2)
-        calls = []
-        check = markov.adiabatic.check_adiabatic_condition
-        monkeypatch.setattr(markov.adiabatic, "check_adiabatic_condition",
-                            lambda *args, **kwargs: calls.append(args) or check(*args, **kwargs))
-        markov.qsample_sequence(seq, seed, mode="schrodinger", eps=0.1, delta=0.2)
-        assert len(calls) == 1
-
     def test_certificate_once_per_chain(self, monkeypatch):
-        seq, _ = markov.anneal_weights_sequence(2, {(0, 1), (1, 0), (1, 1)}, 6, 0.7)
-        seed, _ = markov.matchings_seed_qsample(2)
+        seed, space = markov.matchings_seed_qsample(2)
+        chains = markov.anneal_weights_sequence(space, {(0, 1), (1, 0), (1, 1)}, 6, 0.7)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-        markov.check_slowly_varying(seq)
-        markov.qsample_sequence(seq, seed, mode="zeno", R=5)
-        assert seq.gaps is seq.gaps
-        assert calls == [(6, 6)] * len(seq.chains)
+        markov.check_slowly_varying(chains)
+        markov.qsample_sequence(chains, seed, 5)
+        assert min(c.gap for c in chains) > 0  # the minimum matchings-qsample reports
+        assert calls == [(6, 6)] * len(chains)
 
 
 class TestMatchingSpace:
@@ -458,26 +475,25 @@ class TestSeedQsample:
 
 class TestAnnealSequence:
     def test_complete_target_is_constant(self):
-        seq, _ = markov.anneal_weights_sequence(2, None, 5, 0.7)
-        first = seq.chains[0].transition
-        for c in seq.chains[1:]:
+        chains = markov.anneal_weights_sequence(markov.matchings_space(2), {(0, 0), (0, 1), (1, 0), (1, 1)}, 5, 0.7)
+        first = chains[0].transition
+        for c in chains[1:]:
             assert np.allclose(c.transition, first, atol=1e-12)
 
     def test_variation_distances_bounded(self):
         target = {(0, 1), (1, 0), (1, 1)}
-        seq, _ = markov.anneal_weights_sequence(2, target, 20, 0.7)
-        assert markov.check_slowly_varying(seq) == ()
-        pis = [c.pi.pi for c in seq.chains]
+        chains = markov.anneal_weights_sequence(markov.matchings_space(2), target, 20, 0.7)
+        assert markov.check_slowly_varying(chains) == ()
+        pis = [c.pi for c in chains]
         assert max(markov.variation_distance(p, q) for p, q in zip(pis, pis[1:])) <= 0.5
 
     def test_final_off_target_mass_decays(self):
         target = {(0, 1), (1, 0), (1, 1)}
         masses = []
         for steps in (5, 10, 20):
-            seq, space = markov.anneal_weights_sequence(2, target, steps, 0.7)
-            pi = seq.chains[-1].pi.pi
-            off = sum(pi[i] for i, m in enumerate(space.states)
-                      if any(e not in space.target_edges for e in m))
+            space = markov.matchings_space(2)
+            pi = markov.anneal_weights_sequence(space, target, steps, 0.7)[-1].pi
+            off = sum(pi[i] for i, m in enumerate(space.states) if not m <= target)
             lam = 0.7**steps
             masses.append(off)
             assert off <= 10 * lam / (1 + lam)
@@ -485,13 +501,13 @@ class TestAnnealSequence:
 
     def test_no_perfect_matching_rejected(self):
         with pytest.raises(ValueError):
-            markov.anneal_weights_sequence(2, {(0, 0), (0, 1)}, 5, 0.7)
+            markov.anneal_weights_sequence(markov.matchings_space(2), {(0, 0), (0, 1)}, 5, 0.7)
 
 
 class TestProjectPerfect:
     def test_all_perfect_state(self):
         space = markov.matchings_space(2)
-        amps = np.zeros(markov._next_pow2(space.N), dtype=complex)
+        amps = np.zeros(8, dtype=complex)
         for i in space.perfect_indices():
             amps[i] = 1.0
         state = StateVector.from_amplitudes(amps)
@@ -509,11 +525,9 @@ class TestProjectPerfect:
 
     def test_post_state_uniform_over_target_perfect(self):
         target = {(0, 1), (1, 0), (1, 1)}
-        seq, space = markov.anneal_weights_sequence(2, target, 20, 0.7)
-        seed, _ = markov.matchings_seed_qsample(2)
-        rep = markov.qsample_sequence(seq, seed, mode="zeno", R=500)
+        seed, space = markov.matchings_seed_qsample(2)
+        rep = markov.qsample_sequence(markov.anneal_weights_sequence(space, target, 20, 0.7), seed, 500)
         post, _ = markov.project_perfect(rep.final_state, space)
-        tgt = [i for i in space.perfect_indices()
-               if all(e in space.target_edges for e in space.states[i])]
+        tgt = [i for i in space.perfect_indices() if space.states[i] <= target]
         mags = np.abs(post.amplitudes[tgt])
         assert np.max(mags) - np.min(mags) < 1e-8
